@@ -681,7 +681,6 @@ def _serve_bench(args: argparse.Namespace) -> int:
 
 
 def _serve_forever(args: argparse.Namespace) -> int:
-    import threading
     import time as _time
 
     from repro.service import (
@@ -718,30 +717,30 @@ def _serve_forever(args: argparse.Namespace) -> int:
     except SpoolError as exc:
         print(f"spool error: {exc}", file=sys.stderr)
         return 2
-    if args.spool_dir is not None:
-        print(f"flag spool in {args.spool_dir}: "
-              f"{service.replayed_flags} event(s) replayed",
-              file=sys.stderr, flush=True)
-    http_server = ServiceHTTPServer(service, host=args.host, port=args.port)
-    http_thread = threading.Thread(
-        target=http_server.serve_forever, daemon=True, name="serve-http"
-    )
-    http_thread.start()
-    host, port = http_server.server_address[:2]
-    print(f"serving detector {args.detector!r} "
-          f"({workers} worker(s), {shards} shard(s) x {entries} entries) "
-          f"on http://{host}:{port}", file=sys.stderr, flush=True)
-
-    tcp_server = None
-    if args.tcp is not None:
-        tcp_server = TcpIngestServer(service, host=args.host, port=args.tcp)
-        threading.Thread(
-            target=tcp_server.serve_forever, daemon=True, name="serve-tcp"
-        ).start()
-        print(f"TCP ingest on {args.host}:{tcp_server.server_address[1]}",
-              file=sys.stderr, flush=True)
-
+    # Everything after the service exists runs under the try: a SIGINT
+    # that lands between two readiness lines must still close the
+    # service (and with it the spool) and exit 0.
+    http_server = tcp_server = None
     try:
+        if args.spool_dir is not None:
+            print(f"flag spool in {args.spool_dir}: "
+                  f"{service.replayed_flags} event(s) replayed",
+                  file=sys.stderr, flush=True)
+        http_server = _serve_in_thread(
+            ServiceHTTPServer(service, host=args.host, port=args.port),
+            "serve-http",
+        )
+        host, port = http_server.server_address[:2]
+        print(f"serving detector {args.detector!r} "
+              f"({workers} worker(s), {shards} shard(s) x {entries} entries) "
+              f"on http://{host}:{port}", file=sys.stderr, flush=True)
+        if args.tcp is not None:
+            tcp_server = _serve_in_thread(
+                TcpIngestServer(service, host=args.host, port=args.tcp),
+                "serve-tcp",
+            )
+            print(f"TCP ingest on {args.host}:{tcp_server.server_address[1]}",
+                  file=sys.stderr, flush=True)
         if args.stdin:
             ingested, rejected = ingest_stream(
                 service, sys.stdin, errors=sys.stderr
@@ -758,11 +757,23 @@ def _serve_forever(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        if tcp_server is not None:
-            tcp_server.shutdown()
-        http_server.shutdown()
+        for server in (tcp_server, http_server):
+            if server is not None:
+                server.shutdown()
         service.close()
     return 0
+
+
+def _serve_in_thread(server, name: str):
+    """Start ``server.serve_forever`` on a daemon thread; returns the
+    server only once its loop thread runs, so ``shutdown`` on it
+    cannot wait for a loop that never started."""
+    import threading
+
+    threading.Thread(
+        target=server.serve_forever, daemon=True, name=name
+    ).start()
+    return server
 
 
 def _cmd_theory(args: argparse.Namespace) -> int:

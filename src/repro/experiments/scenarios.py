@@ -166,9 +166,22 @@ class RunResult:
         return self.collector.detection_latency_us(src)
 
 
+def reads_idle_slots(config: ScenarioConfig, node_id: int) -> bool:
+    """Whether the node's MAC ever reads ``B_act``.
+
+    Only a CORRECT receiver judging senders does, and in a built
+    scenario only flow destinations receive RTS/DATA.  Every other MAC
+    is built without an idle-slot counter (see :class:`DcfMac`).
+    """
+    return config.protocol == PROTOCOL_CORRECT and any(
+        flow.dst == node_id for flow in config.topology.flows
+    )
+
+
 def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
               node_id: int, policy: ConformingPolicy,
               timings: Optional[PhyTimings] = None):
+    count_idle_slots = reads_idle_slots(config, node_id)
     if config.protocol == PROTOCOL_80211:
         if config.detector is not None:
             raise ValueError(
@@ -180,6 +193,7 @@ def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
             payload_bytes=config.payload_bytes, policy=policy,
             timings=timings,
             use_rts_cts=config.use_rts_cts,
+            count_idle_slots=count_idle_slots,
         )
     if config.protocol == PROTOCOL_CORRECT:
         factory = (
@@ -191,6 +205,7 @@ def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
             payload_bytes=config.payload_bytes, policy=policy,
             timings=timings,
             use_rts_cts=config.use_rts_cts,
+            count_idle_slots=count_idle_slots,
             config=config.protocol_config,
             enable_attempt_audit=config.enable_attempt_audit,
             audit_sender_assignments=config.audit_sender_assignments,
@@ -202,8 +217,7 @@ def _make_mac(config: ScenarioConfig, sim, medium, registry, collector,
 
 
 def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
-                   watchdog: Optional[Watchdog] = None, trace=None,
-                   vector_pool=None):
+                   watchdog: Optional[Watchdog] = None, trace=None):
     """Construct (but do not run) a scenario; returns (sim, nodes, collector).
 
     Exposed separately from :func:`run_scenario` for tests that want
@@ -224,13 +238,6 @@ def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
     :class:`~repro.faults.FaultInjector` is built, wired into the
     medium and MACs, and left on ``sim.fault_injector`` for callers
     that want its counters.
-
-    ``vector_pool`` optionally supplies a
-    :class:`~repro.sim.vecrng.VectorStreamPool`: the ``idle/*``
-    streams are then pooled (bit-identical) ``VectorRandom`` instances
-    and the medium's vectorized marginal-edge path is enabled.  Used
-    by the replica-batched runner in :mod:`repro.sim.batch`; results
-    are bit-identical either way.
     """
     if profile is None:
         profile = profile_enabled()
@@ -245,13 +252,11 @@ def build_scenario(config: ScenarioConfig, profile: Optional[bool] = None,
     topo = config.topology
     sim = Simulator(profile=profile, watchdog=watchdog)
     sim.fault_injector = None
-    registry = RngRegistry(config.seed, vector_pool=vector_pool)
+    registry = RngRegistry(config.seed)
     medium = Medium(
         sim, ShadowingModel(), rng=registry.stream("shadowing"),
         timings=PhyTimings(),
     )
-    if vector_pool is not None:
-        medium.marginal_batch_pool = vector_pool
     if trace is not None:
         medium.trace = trace
     measured: Set[int] = {f.src for f in topo.flows if f.measured}

@@ -150,7 +150,7 @@ class CorrectMac(DcfMac):
         monitor = self.monitor_for(src)
         if self.refuse_diagnosed and monitor.is_misbehaving:
             return None
-        idle_now = self.idle_counter.idle_slots(self.sim.now)
+        idle_now = self.idle_slots()
         if self.adaptive_threshold is not None and hasattr(
             monitor.detector, "thresh"
         ):
@@ -195,7 +195,7 @@ class CorrectMac(DcfMac):
 
     def _on_response_sent(self, kind: str, resp: _Responder) -> None:
         monitor = self.monitor_for(resp.src)
-        idle_now = self.idle_counter.idle_slots(self.sim.now)
+        idle_now = self.idle_slots()
         monitor.on_response_sent(kind, resp.attempt, idle_now)
 
     # ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from repro.mac.timing import ExchangeTiming
 from repro.phy.constants import PhyTimings, SHORT_RETRY_LIMIT
 from repro.phy.medium import Medium
 from repro.phy.sensing import IdleSlotCounter
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import EventHandle, SimulationError, Simulator
 from repro.sim.rng import RngRegistry, binomial
 
 
@@ -86,6 +86,12 @@ class DcfMac:
         paper evaluates; False runs basic access (DATA/ACK), which the
         paper notes the scheme also supports — the attempt number then
         travels in the DATA header and the assignment in the ACK.
+    count_idle_slots:
+        Keep an :class:`~repro.phy.sensing.IdleSlotCounter` (the
+        ``B_act`` clock).  Only receivers that judge senders read it,
+        so :func:`~repro.experiments.scenarios.build_scenario` turns it
+        off everywhere else and the carrier-sense edges skip the
+        counter bookkeeping (and its binomial draws) entirely.
     """
 
     #: Whether frames carry the CORRECT protocol extension fields.
@@ -103,6 +109,7 @@ class DcfMac:
         timings: Optional[PhyTimings] = None,
         retry_limit: int = SHORT_RETRY_LIMIT,
         use_rts_cts: bool = True,
+        count_idle_slots: bool = True,
     ):
         self.sim = sim
         self.medium = medium
@@ -128,10 +135,15 @@ class DcfMac:
             self._current_ifs,
             self._on_backoff_expired,
         )
-        self.idle_counter = IdleSlotCounter(
-            self.timings.slot_us,
-            rng_registry.stream(f"idle/{node_id}"),
-            difs_us=self.timings.difs_us,
+        #: ``None`` when this MAC never reads ``B_act``.  The counter
+        #: draws from its own ``idle/<node>`` stream, so dropping it
+        #: changes no other stream's draws.
+        self.idle_counter: Optional[IdleSlotCounter] = (
+            IdleSlotCounter(
+                self.timings.slot_us,
+                rng_registry.stream(f"idle/{node_id}"),
+                difs_us=self.timings.difs_us,
+            ) if count_idle_slots else None
         )
         self.exchange_timing = ExchangeTiming(
             self.timings, payload_bytes, self.modified_protocol
@@ -218,7 +230,8 @@ class DcfMac:
         if trace is not None:
             trace.record(self.sim.now, "mac_restart", self.node_id)
         self._crashed = False
-        self.idle_counter.resync(self.sim.now)
+        if self.idle_counter is not None:
+            self.idle_counter.resync(self.sim.now)
         self._update_blocked()
         self._try_dequeue()
 
@@ -231,57 +244,24 @@ class DcfMac:
         # transmission), so the ``IdleSlotCounter.set_strong(True)``
         # and ``set_blocked(True)`` chains are inlined — semantics are
         # identical, the per-edge call depth is not.
-        now = self.sim.now
         ic = self.idle_counter
-        ic._last_now = now
-        if not ic._strong:
-            cursor = ic._cursor
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    p = ic._marginal_p
-                    if p <= 0.0:
-                        ic._slots += whole
-                    elif p < 1.0:
-                        ic._slots += whole - binomial(ic.rng, whole, p)
-            ic._strong = True
-        ic._cursor = now
+        if ic is not None:
+            now = self.sim.now
+            ic._last_now = now
+            if not ic._strong:
+                cursor = ic._cursor
+                if now > cursor:
+                    whole = (now - cursor) // ic.slot_us
+                    if whole > 0:
+                        p = ic._marginal_p
+                        if p <= 0.0:
+                            ic._slots += whole
+                        elif p < 1.0:
+                            ic._slots += whole - binomial(ic.rng, whole, p)
+                ic._strong = True
+            ic._cursor = now
         # A strong-busy edge always blocks the timer, whatever the NAV
         # or responder state says.
-        timer = self.timer
-        if not timer.blocked:
-            timer.blocked = True
-            if timer.active:
-                timer._freeze()
-
-    def on_channel_busy_batch(self, fast) -> None:
-        """Batch-mode :meth:`on_channel_busy`.
-
-        Same fused edge handling, but the catch-up binomial deficit
-        (idle slots accrued since the cursor, sampled at the *old*
-        marginal probability) is appended to ``fast`` for the medium's
-        per-edge vectorized draw instead of being drawn inline.  As in
-        :meth:`on_marginal_change_batch`, only the cumulative ``_slots``
-        update moves; word consumption per stream is unchanged.
-        """
-        now = self.sim.now
-        ic = self.idle_counter
-        ic._last_now = now
-        if not ic._strong:
-            cursor = ic._cursor
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    p = ic._marginal_p
-                    if p <= 0.0:
-                        ic._slots += whole
-                    elif p < 1.0:
-                        if whole <= 32:
-                            fast.append((ic, whole, p))
-                        else:
-                            ic._slots += whole - binomial(ic.rng, whole, p)
-            ic._strong = True
-        ic._cursor = now
         timer = self.timer
         if not timer.blocked:
             timer.blocked = True
@@ -305,11 +285,12 @@ class DcfMac:
             trace.record(self.sim.now, "defer", self.node_id, ifs_us=ifs)
         now = self.sim.now
         ic = self.idle_counter
-        # set_strong(False): while strong no slots accrued, the clock
-        # realigns at the edge and counting resumes an IFS later.
-        ic._last_now = now
-        ic._strong = False
-        ic._cursor = now + ifs
+        if ic is not None:
+            # set_strong(False): while strong no slots accrued, the clock
+            # realigns at the edge and counting resumes an IFS later.
+            ic._last_now = now
+            ic._strong = False
+            ic._cursor = now + ifs
         blocked = now < self._nav_until or self._responding
         timer = self.timer
         if blocked != timer.blocked:
@@ -328,65 +309,24 @@ class DcfMac:
         # of values in [0, 1] stays in [0, 1] so the range check cannot
         # fire, and ``now`` comes off the (monotonic) kernel clock so
         # the backwards-clock guard cannot fire either.
-        now = self.sim.now
         ic = self.idle_counter
-        cursor = ic._cursor
-        if not ic._strong:
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    op = ic._marginal_p
-                    if op <= 0.0:
-                        ic._slots += whole
-                    elif op < 1.0:
-                        ic._slots += whole - binomial(ic.rng, whole, op)
-                    ic._cursor = cursor + whole * ic.slot_us
-        elif now > cursor:
-            ic._cursor = now
-        ic._last_now = now
-        ic._marginal_p = p
-        timer = self.timer
-        if timer.active and timer._state == "counting":
-            timer.marginal_changed()
-
-    def on_marginal_change_batch(self, fast) -> None:
-        """Batch-mode :meth:`on_marginal_change`.
-
-        Identical bookkeeping and timer handling, except that small-n
-        binomial deficits are appended to ``fast`` (as ``(counter, n,
-        p)``) so the medium can sample the whole transmission edge in
-        one vectorized pool draw.  Only the deferred ``_slots`` update
-        is reordered — nothing reads the cumulative count before the
-        edge resolves, and per-stream word consumption is unchanged.
-        """
-        state = self._mstate
-        if state is None:
-            state = self._mstate = self.medium._states[self.node_id]
-        product = 1.0
-        for q in state.marginal.values():
-            product *= 1.0 - q
-        p = 1.0 - product
-        self._p_busy = p
-        now = self.sim.now
-        ic = self.idle_counter
-        cursor = ic._cursor
-        if not ic._strong:
-            if now > cursor:
-                whole = (now - cursor) // ic.slot_us
-                if whole > 0:
-                    op = ic._marginal_p
-                    if op <= 0.0:
-                        ic._slots += whole
-                    elif op < 1.0:
-                        if whole <= 32:
-                            fast.append((ic, whole, op))
-                        else:
+        if ic is not None:
+            now = self.sim.now
+            cursor = ic._cursor
+            if not ic._strong:
+                if now > cursor:
+                    whole = (now - cursor) // ic.slot_us
+                    if whole > 0:
+                        op = ic._marginal_p
+                        if op <= 0.0:
+                            ic._slots += whole
+                        elif op < 1.0:
                             ic._slots += whole - binomial(ic.rng, whole, op)
-                    ic._cursor = cursor + whole * ic.slot_us
-        elif now > cursor:
-            ic._cursor = now
-        ic._last_now = now
-        ic._marginal_p = p
+                        ic._cursor = cursor + whole * ic.slot_us
+            elif now > cursor:
+                ic._cursor = now
+            ic._last_now = now
+            ic._marginal_p = p
         timer = self.timer
         if timer.active and timer._state == "counting":
             timer.marginal_changed()
@@ -415,6 +355,23 @@ class DcfMac:
     # ------------------------------------------------------------------
     # Carrier sense aggregation
     # ------------------------------------------------------------------
+    def idle_slots(self) -> int:
+        """Cumulative eligible idle slots until now (the ``B_act`` clock).
+
+        Raises
+        ------
+        SimulationError
+            If this MAC keeps no idle-slot counter: a missing counter
+            must never read as zero idle slots.
+        """
+        ic = self.idle_counter
+        if ic is None:
+            raise SimulationError(
+                f"node {self.node_id} keeps no idle-slot counter "
+                "(built with count_idle_slots=False)"
+            )
+        return ic.idle_slots(self.sim.now)
+
     def _update_blocked(self) -> None:
         blocked = (
             self.medium.strong_busy(self.node_id)

@@ -88,7 +88,8 @@ class ObserverMac(DcfMac):
         min_evidence: int = 8,
         **kwargs,
     ):
-        super().__init__(*args, **kwargs)
+        # The observer's whole job is an independent B_act.
+        super().__init__(*args, count_idle_slots=True, **kwargs)
         self.watch = set(watch)
         self.config = config
         self.collusion_threshold = collusion_threshold
@@ -135,7 +136,7 @@ class ObserverMac(DcfMac):
                 observation.unpenalised_deviations += 1
             observation._await_penalty = False
         observation.assignment = assignment
-        observation.reference_idle = self.idle_counter.idle_slots(self.sim.now)
+        observation.reference_idle = self.idle_slots()
         observation.next_first_stage = (
             1 if frame.kind is FrameKind.ACK else frame.attempt + 1
         )
@@ -145,7 +146,7 @@ class ObserverMac(DcfMac):
         if (observation is None or observation.assignment is None
                 or observation.reference_idle is None):
             return
-        idle_now = self.idle_counter.idle_slots(self.sim.now)
+        idle_now = self.idle_slots()
         b_act = max(idle_now - observation.reference_idle, 0)
         first = observation.next_first_stage
         if frame.attempt < first:

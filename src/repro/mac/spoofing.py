@@ -112,5 +112,5 @@ class AuthenticatingReceiverMac(CorrectMac):
 
     def _on_response_sent(self, kind: str, resp: _Responder) -> None:
         monitor = self.monitor_for(self._principal(resp.src))
-        idle_now = self.idle_counter.idle_slots(self.sim.now)
+        idle_now = self.idle_slots()
         monitor.on_response_sent(kind, resp.attempt, idle_now)

@@ -25,6 +25,13 @@ Regimes (driven by the owning MAC from medium callbacks):
 * marginal    — each slot independently busy with the current
   combined probability ``p``; the busy count over an elapsed stretch
   is sampled lazily as a Binomial, so no per-slot events are needed.
+
+Counters exist only where ``B_act`` is read: on CORRECT receivers that
+judge senders (in a built scenario, the flow destinations) and on
+third-party observers.  Every other MAC carries none, and its
+carrier-sense edges skip the counter bookkeeping and its binomial
+draws.  Each counter owns its ``idle/<node>`` stream, so which nodes
+count changes no other stream's draws and no result.
 """
 
 from __future__ import annotations

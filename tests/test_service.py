@@ -510,6 +510,44 @@ class TestTcpIngest:
             server.server_close()
 
 
+class TestServeCommand:
+    def test_sigint_right_after_readiness_exits_cleanly(self, tmp_path):
+        """``repro serve`` interrupted the moment it reports readiness
+        must close its service (and spool) and exit 0, every time."""
+        import os
+        import pathlib
+        import signal
+        import subprocess
+        import sys
+
+        from repro.service import FlagSpool, spool_path
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        for attempt in range(10):
+            spool_dir = tmp_path / f"spool-{attempt}"
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--tcp", "0",
+                 "--port", "0", "--spool-dir", str(spool_dir)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            )
+            try:
+                first = proc.stderr.readline()
+                assert first.startswith(b"flag spool in"), first
+                proc.send_signal(signal.SIGINT)
+                _, err = proc.communicate(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+            assert proc.returncode == 0, err.decode()
+            assert b"Traceback" not in err
+            with FlagSpool(spool_path(spool_dir, 0, 1),
+                           detector="window") as spool:
+                assert not spool.repaired
+                assert spool.replayed == []
+
+
 # ----------------------------------------------------------------------
 # HTTP API
 # ----------------------------------------------------------------------
