@@ -683,38 +683,25 @@ def _serve_bench(args: argparse.Namespace) -> int:
 def _serve_forever(args: argparse.Namespace) -> int:
     import time as _time
 
+    from repro.experiments.campaign.journal import JournalError
     from repro.service import (
-        DetectionService,
-        FlagSpool,
         IngestWorkerPool,
         ServiceHTTPServer,
         SpoolError,
         TcpIngestServer,
         ingest_stream,
-        spool_path,
     )
 
     shards, entries, workers = _service_geometry(args)
     try:
-        if workers > 1:
-            service = IngestWorkerPool(
-                workers=workers,
-                detector=args.detector,
-                shards=shards,
-                max_entries=entries,
-                spool_dir=args.spool_dir,
-            )
-        else:
-            spool = None
-            if args.spool_dir is not None:
-                spool = FlagSpool(
-                    spool_path(args.spool_dir, 0, 1), detector=args.detector
-                )
-            service = DetectionService(
-                detector=args.detector, shards=shards,
-                max_entries=entries, spool=spool,
-            )
-    except SpoolError as exc:
+        service = IngestWorkerPool(
+            workers=workers,
+            detector=args.detector,
+            shards=shards,
+            max_entries=entries,
+            spool_dir=args.spool_dir,
+        )
+    except (SpoolError, JournalError) as exc:
         print(f"spool error: {exc}", file=sys.stderr)
         return 2
     # Everything after the service exists runs under the try: a SIGINT

@@ -187,8 +187,8 @@ def service_shard_entries() -> Optional[int]:
 
 
 def service_workers() -> Optional[int]:
-    """Ingest worker processes from ``REPRO_SERVICE_WORKERS`` (None:
-    single-process; the ``serve --workers`` flag overrides)."""
+    """Ingest workers from ``REPRO_SERVICE_WORKERS`` (None: one
+    in-process worker; the ``serve --workers`` flag overrides)."""
     return _env_number("REPRO_SERVICE_WORKERS", int, 1)
 
 

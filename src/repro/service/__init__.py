@@ -19,14 +19,15 @@ This package hosts any registered :mod:`repro.detect` family that way:
 * :mod:`~repro.service.spool` — append-only crc32-checksummed
   first-flag spool; a restarted service replays it before accepting
   traffic, so the served flag history survives a SIGKILL;
-* :mod:`~repro.service.ingest` — the :class:`DetectionService`
-  facade, plus stdin and TCP ingest sources;
-* :mod:`~repro.service.workers` — :class:`IngestWorkerPool`: N ingest
-  worker processes over disjoint crc32 sender ranges, with
+* :mod:`~repro.service.ingest` — :class:`DetectionService`, one
+  worker slot's engine, plus stdin and TCP ingest sources;
+* :mod:`~repro.service.workers` — :class:`IngestWorkerPool`, the one
+  front-end: N worker slots over disjoint crc32 sender ranges (one
+  slot is held in-process, more are worker processes), with
   scatter-gather queries and a merged ``/verdicts`` cursor;
 * :mod:`~repro.service.server` — stdlib HTTP query API
   (``/verdicts``, ``/senders/<id>``, ``/stats``, ``/watch``) over
-  either geometry;
+  the pool;
 * :mod:`~repro.service.adapter` — records a simulation's
   judged-observation stream and replays it through the service;
   served verdicts are bit-identical to in-sim ones;

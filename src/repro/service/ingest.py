@@ -1,24 +1,28 @@
-"""Observation ingest: the facade tying codec, store and verdicts.
+"""Observation ingest: the per-slot engine and the ingest sources.
 
-:class:`DetectionService` is the long-running object the CLI, the
-HTTP API, the load generator and the tests all share.  It accepts
-observations three ways:
+:class:`DetectionService` is one worker slot's engine — it ties codec,
+store, verdict log and spool together and keeps the slot's counters.
+An :class:`~repro.service.workers.IngestWorkerPool` hosts one per
+worker slot and is the service's only front-end.  Observations reach
+it three ways:
 
 * **in-process** — :meth:`DetectionService.ingest_observation`
   (already-decoded ``(sender, Observation)``; the hot path the bench
   measures and the trace-replay adapter drives);
 * **stdin** — :func:`ingest_stream` pumps JSONL wire lines from any
-  text stream (``python -m repro serve --stdin < trace.jsonl``);
+  text stream into a pool (``python -m repro serve --stdin <
+  trace.jsonl``);
 * **TCP** — :class:`TcpIngestServer`, a threaded line-oriented
-  socket server; each connection streams wire lines and receives one
-  JSON error line back per rejected record (accepted records are
-  silent, so a well-formed stream never blocks on responses).
+  socket server feeding a pool; each connection streams wire lines
+  and receives one JSON error line back per rejected record (accepted
+  records are silent, so a well-formed stream never blocks on
+  responses).
 
 Malformed lines never kill an ingest source: they are counted
-(``decode_errors`` in :meth:`DetectionService.stats`), reported to the
-offender where a back-channel exists (TCP), and skipped.  A peer that
-dies mid-line is not an error either: the reset is counted
-(``disconnects``) and the handler closes quietly.
+(``decode_errors`` in ``/stats``), reported to the offender where a
+back-channel exists (TCP), and skipped.  A peer that dies mid-line is
+not an error either: the reset is counted (``disconnects``) and the
+handler closes quietly.
 
 Ingest runs on many TCP handler threads at once, so every counter the
 service owns (``_ingested``, ``decode_errors``, ``disconnects``, the
@@ -177,95 +181,26 @@ class DetectionService:
             "verdicts": self.verdicts.stats(),
         }
 
-    # ------------------------------------------------------------------
-    # Query surface shared with IngestWorkerPool (what the HTTP layer
-    # calls; see repro.service.server).
-    # ------------------------------------------------------------------
-    @staticmethod
-    def parse_cursor(after: Optional[str]) -> int:
-        """A single-process cursor is the newest-seen event id."""
-        if after is None or after == "":
-            return 0
-        try:
-            value = int(after)
-        except ValueError:
-            raise ValueError(
-                f"cursor 'after' must be an integer event id, "
-                f"got {after!r}"
-            ) from None
-        if value < 0:
-            raise ValueError("cursor 'after' must be >= 0")
-        return value
-
-    def api_stats(self) -> Dict[str, object]:
-        return self.stats()
-
-    def api_verdicts(
-        self, after: Optional[str] = None, limit: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """The ``/verdicts`` payload, including the retention fields a
-        resuming watcher needs to detect dropped flags."""
-        cursor = self.parse_cursor(after)
-        events, newest, info = self.verdicts.events_after(cursor, limit)
-        return {
-            "events": events,
-            "next": newest,
-            "oldest": info["oldest"],
-            "dropped": info["dropped"],
-            "gap": _has_gap(cursor, info["oldest"]),
-            "flagged": self.store.flagged_senders(),
-        }
-
-    def api_watch(
-        self,
-        after: Optional[str] = None,
-        timeout: float = 30.0,
-        limit: Optional[int] = None,
-    ) -> Dict[str, object]:
-        cursor = self.parse_cursor(after)
-        events, newest, info = self.verdicts.wait_for(
-            cursor, timeout=timeout, limit=limit
-        )
-        return {
-            "events": events,
-            "next": newest,
-            "oldest": info["oldest"],
-            "dropped": info["dropped"],
-            "gap": _has_gap(cursor, info["oldest"]),
-        }
-
-    def api_sender(self, sender: str) -> Optional[Dict[str, object]]:
-        return self.store.get(sender)
-
     def close(self) -> None:
         """Release durable resources (the spool, when attached)."""
         if self.spool is not None:
             self.spool.close()
 
 
-def _has_gap(cursor: int, oldest: Optional[int]) -> bool:
-    """True when event ids in ``(cursor, oldest)`` were dropped — a
-    watcher resuming from ``cursor`` can never see them."""
-    return oldest is not None and cursor + 1 < oldest
-
-
 # ----------------------------------------------------------------------
 # Stream (stdin) ingest
 # ----------------------------------------------------------------------
 def ingest_stream(
-    service: "DetectionService",
+    service,
     lines: Iterable[str],
     errors: Optional[IO[str]] = None,
     max_reported: int = 10,
 ) -> Tuple[int, int]:
-    """Pump wire lines into the service until the stream ends.
+    """Pump wire lines into a pool until the stream ends.
 
-    Works against anything with ``ingest_line`` / ``record_decode_
-    error`` — a :class:`DetectionService` or an
-    :class:`~repro.service.workers.IngestWorkerPool`.  Returns
-    ``(ingested, rejected)``.  Blank lines are keep-alives.  The first
-    ``max_reported`` rejects are echoed to ``errors`` (e.g.  stderr)
-    with their line number; the rest are only counted.
+    Returns ``(ingested, rejected)``.  Blank lines are keep-alives.
+    The first ``max_reported`` rejects are echoed to ``errors`` (e.g.
+    stderr) with their line number; the rest are only counted.
     """
     ingested = rejected = 0
     for lineno, line in enumerate(lines, start=1):
@@ -328,10 +263,8 @@ class TcpIngestServer(socketserver.ThreadingTCPServer):
 
     Use like ``http.server``: construct, then ``serve_forever()`` on a
     thread, ``shutdown()`` to stop.  The bound port is
-    ``server.server_address[1]``.  ``service`` may be a
-    :class:`DetectionService` or an ``IngestWorkerPool`` — the handler
-    only needs ``ingest_line`` (raising :class:`WireError` on bad
-    lines), ``record_decode_error`` and ``record_disconnect``.
+    ``server.server_address[1]``.  ``service`` is the
+    :class:`~repro.service.workers.IngestWorkerPool` the lines feed.
     """
 
     daemon_threads = True
@@ -339,7 +272,7 @@ class TcpIngestServer(socketserver.ThreadingTCPServer):
 
     def __init__(
         self,
-        service: "DetectionService",
+        service,
         host: str = "127.0.0.1",
         port: int = 0,
     ):

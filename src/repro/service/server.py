@@ -1,28 +1,27 @@
-"""HTTP query API over the detection service (single- or multi-process).
+"""HTTP query API over the detection service.
 
 Pure stdlib (``http.server.ThreadingHTTPServer``) — the service must
 run anywhere the simulator runs.  All responses are JSON.  The server
-drives the query surface shared by
-:class:`~repro.service.ingest.DetectionService` and
+drives the query surface of
 :class:`~repro.service.workers.IngestWorkerPool` (``api_stats`` /
-``api_verdicts`` / ``api_watch`` / ``api_sender``), so one binary
-serves both the single-process and the multi-worker geometry.
+``api_verdicts`` / ``api_watch`` / ``api_sender``), whatever its
+worker count.
 
 Endpoints
 ---------
 ``GET /stats``
-    Ingest rates, per-shard occupancy, eviction and flag counters
-    (multi-worker: merged totals plus a ``per_worker`` breakdown).
+    Ingest rates, per-shard occupancy, eviction and flag counters:
+    merged totals plus a ``per_worker`` breakdown.
 ``GET /verdicts[?after=CURSOR&limit=N]``
     First-flag events after ``CURSOR``, plus ``next`` — the cursor to
     pass back as ``after`` on the next poll — the currently-flagged
     resident senders, and the retention fields a resuming watcher
     needs: ``dropped`` (flag events aged out of the capped log) and
     ``gap`` (true when events between ``CURSOR`` and the retained
-    window were dropped — the poller can never see them).  The
-    single-process cursor is the newest event id (an integer);
-    multi-worker cursors are opaque dot-joined per-worker tokens —
-    always echo ``next`` back verbatim.
+    window were dropped — the poller can never see them), each also
+    broken down ``per_worker``.  The cursor is one dot-joined
+    component per worker (``"12"`` for one worker) — always echo
+    ``next`` back verbatim.
 ``GET /senders/<id>``
     One sender's resident detector state: verdict, counters, bounded
     flag/clear transition log.  404 when the sender was never seen
@@ -32,8 +31,9 @@ Endpoints
     Long-poll ``/verdicts``: blocks until a first-flag event after
     ``CURSOR`` exists or the timeout (default 30 s, capped at
     ``MAX_WATCH_TIMEOUT``) passes, then answers like ``/verdicts``
-    (possibly with an empty event list on timeout), including the
-    same ``dropped``/``gap`` retention fields.
+    without ``flagged`` (possibly with an empty event list on
+    timeout), including the same ``dropped``/``gap`` retention
+    fields.
 """
 
 from __future__ import annotations
@@ -166,10 +166,9 @@ class ServiceHTTPServer(ThreadingHTTPServer):
     """The query API bound to ``host:port`` (port 0 = ephemeral).
 
     ``serve_forever()`` on a thread; ``shutdown()`` to stop.  The
-    bound port is ``server.server_address[1]``.  ``service`` may be a
-    :class:`~repro.service.ingest.DetectionService` or an
-    :class:`~repro.service.workers.IngestWorkerPool` — the handler
-    only drives the shared ``api_*`` query surface.
+    bound port is ``server.server_address[1]``.  ``service`` is the
+    :class:`~repro.service.workers.IngestWorkerPool` whose ``api_*``
+    query surface the handler drives.
     """
 
     daemon_threads = True

@@ -6,12 +6,13 @@ been flagged" — but only until the process dies.  Kuptsov et al.
 trustworthy as the flag history they are derived from; a monitor that
 forgets every flag on restart cannot be audited.  The spool closes
 that gap: every published first-flag event is appended to an
-append-only, crc32-checksummed JSONL file (the campaign journal's
-wire idiom, reused via :mod:`repro.experiments.campaign.journal`),
-and a restarted service replays the file into its verdict log
-*before* accepting traffic — the ``/verdicts`` history it then serves
-is byte-identical to the pre-crash one, with zero duplicates (replay
-publishes to the log but never re-appends to the spool).
+append-only, crc32-checksummed JSONL file (written, read and
+repaired by the campaign journal's code in :mod:`repro.experiments.
+campaign.journal`), and a restarted service replays the file into its
+verdict log *before* accepting traffic — the ``/verdicts`` history it
+then serves is byte-identical to the pre-crash one, with zero
+duplicates (replay publishes to the log but never re-appends to the
+spool).
 
 Durability model (same as the campaign journal):
 
@@ -44,7 +45,7 @@ from threading import Lock
 from typing import List, Optional
 
 from repro.experiments.campaign.journal import (
-    encode_record,
+    JournalWriter,
     read_journal,
     repair_journal,
 )
@@ -67,7 +68,7 @@ def spool_path(
     directory: os.PathLike | str, worker: int, workers: int
 ) -> pathlib.Path:
     """The spool file for worker ``worker`` of ``workers`` in
-    ``directory`` (worker 0 of 1 is the single-process service)."""
+    ``directory`` (worker 0 of 1 is a one-worker service)."""
     return pathlib.Path(directory) / f"flags-{worker:03d}-of-{workers:03d}.jsonl"
 
 
@@ -143,15 +144,13 @@ class FlagSpool:
         self.repaired = False
         self._lock = Lock()
         self._since_sync = 0
-        self._fh = None
+        self._writer: Optional[JournalWriter] = None
 
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists() and self.path.stat().st_size > 0:
             self._replay_existing()
         else:
-            self._fh = self.path.open("ab")
-            self._append_record(_header(detector, worker, workers))
-            self.sync()
+            self._start_file()
 
     # ------------------------------------------------------------------
     def _replay_existing(self) -> None:
@@ -162,11 +161,7 @@ class FlagSpool:
         if not result.records:
             # Every record (the header included) was torn away: start
             # the file over rather than appending after garbage.
-            self._fh = self.path.open("ab")
-            self._append_record(
-                _header(self.detector, self.worker, self.workers)
-            )
-            self.sync()
+            self._start_file()
             return
         header = result.records[0]
         if header.get("kind") != "flag-spool":
@@ -195,42 +190,39 @@ class FlagSpool:
                     f"kind {record.get('kind')!r}"
                 )
             self.replayed.append(_decode_event(record, position, self.path))
-        self._fh = self.path.open("ab")
+        self._writer = JournalWriter(self.path)
+
+    def _start_file(self) -> None:
+        self._writer = JournalWriter(self.path)
+        self._writer.append(_header(self.detector, self.worker, self.workers))
 
     # ------------------------------------------------------------------
     def append(self, event: FlagEvent) -> None:
         """Persist one new first-flag event (flush now, fsync every
         :data:`FSYNC_EVERY` appends)."""
         with self._lock:
-            self._append_record(_event_record(event))
+            if self._writer is None:
+                raise SpoolError(f"spool {self.path} is closed")
             self._since_sync += 1
-            if self._since_sync >= FSYNC_EVERY:
-                os.fsync(self._fh.fileno())
+            sync = self._since_sync >= FSYNC_EVERY
+            self._writer.append(_event_record(event), sync=sync)
+            if sync:
                 self._since_sync = 0
-
-    def _append_record(self, record: dict) -> None:
-        if self._fh is None:
-            raise SpoolError(f"spool {self.path} is closed")
-        self._fh.write((encode_record(record) + "\n").encode("utf-8"))
-        self._fh.flush()
 
     def sync(self) -> None:
         """fsync everything appended so far."""
         with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
+            if self._writer is not None:
+                self._writer.sync()
                 self._since_sync = 0
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
+            if self._writer is not None:
                 try:
-                    self._fh.flush()
-                    os.fsync(self._fh.fileno())
+                    self._writer.close()
                 finally:
-                    self._fh.close()
-                    self._fh = None
+                    self._writer = None
 
     def __enter__(self) -> "FlagSpool":
         return self

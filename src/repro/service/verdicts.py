@@ -32,10 +32,10 @@ from repro.service.store import FlagEvent
 DEFAULT_VERDICT_CAP = 1_000_000
 
 
-def event_payload(event_id: int, event: FlagEvent) -> Dict[str, object]:
-    """The wire-facing dict for one logged flag event."""
+def event_payload(event: FlagEvent) -> Dict[str, object]:
+    """The wire-facing fields of one logged flag event (the caller adds
+    its identity)."""
     return {
-        "id": event_id,
         "sender": event.sender,
         "time_us": event.time_us,
         "observations": event.observations,
@@ -101,33 +101,33 @@ class VerdictLog:
         self, after: int = 0, limit: Optional[int] = None,
     ) -> Tuple[List[Tuple[int, FlagEvent]], int, Dict[str, object]]:
         """Like :meth:`events_after` but with raw ``(id, FlagEvent)``
-        pairs — the scatter-gather path needs the original wall clocks
-        to merge worker streams into one chronological order."""
+        pairs — the scatter-gather path interleaves worker streams by
+        their original wall clocks."""
         with self._condition:
-            fresh = [
-                (event_id, event)
-                for event_id, event in self._events
-                if event_id > after
-            ]
-            newest = self._next_id - 1
-            if limit is not None and len(fresh) > limit:
-                fresh = fresh[:limit]
-                newest = fresh[-1][0]
-            return fresh, newest, self._retention()
+            return self._raw(after, limit)
+
+    def _raw(
+        self, after: int, limit: Optional[int],
+    ) -> Tuple[List[Tuple[int, FlagEvent]], int, Dict[str, object]]:
+        # Retained ids are dense, so the first id > ``after`` sits at
+        # index ``after + 1 - oldest``.
+        start = max(0, after + 1 - self._events[0][0]) if self._events else 0
+        fresh = self._events[start:]
+        newest = self._next_id - 1
+        if limit is not None and len(fresh) > limit:
+            fresh = fresh[:limit]
+            newest = fresh[-1][0]
+        return fresh, newest, self._retention()
 
     def _snapshot(
         self, after: int, limit: Optional[int],
     ) -> Tuple[List[Dict[str, object]], int, Dict[str, object]]:
-        newest = self._next_id - 1
+        pairs, newest, info = self._raw(after, limit)
         fresh = [
-            event_payload(event_id, event)
-            for event_id, event in self._events
-            if event_id > after
+            {"id": event_id, **event_payload(event)}
+            for event_id, event in pairs
         ]
-        if limit is not None and len(fresh) > limit:
-            fresh = fresh[:limit]
-            newest = fresh[-1]["id"]
-        return fresh, newest, self._retention()
+        return fresh, newest, info
 
     def _retention(self) -> Dict[str, object]:
         return {

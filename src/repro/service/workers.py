@@ -1,36 +1,40 @@
-"""Multi-process ingest: N workers, disjoint crc32 key ranges.
+"""The detection service's front-end: N worker slots, disjoint crc32
+key ranges.
 
-A single ``DetectionService`` tops out near the one-interpreter
-ceiling — every JSON decode and detector update serializes on one
-GIL.  This module scales past it with the only partition the data
-admits: *senders*.  Detector state is strictly per-sender, so ``N``
-worker processes each owning the senders in one crc32 residue class
-(:func:`~repro.service.store.worker_of`) share nothing at all; the
-front-end process routes wire lines by scanning out the sender key
-(:func:`~repro.service.codec.sender_of_line` — no JSON parse on the
-routing path), batches them per worker, and ships each batch down
-that worker's pipe.  All the expensive work — strict decode, store
-lookup, detector update, flag bookkeeping — happens inside the
-workers, in parallel.
+Detector state is strictly per-sender, so the service partitions by
+*sender*: worker slot ``k`` of ``N`` owns the senders in one crc32
+residue class (:func:`~repro.service.store.worker_of`), and slots share
+nothing at all.  Each slot hosts a full private :class:`~repro.service.
+ingest.DetectionService` (its own :class:`~repro.service.store.
+ShardedDetectorStore`, :class:`~repro.service.verdicts.VerdictLog` and
+optional :class:`~repro.service.spool.FlagSpool`).
 
-Each worker hosts a full private :class:`~repro.service.ingest.
-DetectionService` (its own :class:`~repro.service.store.
-ShardedDetectorStore`, :class:`~repro.service.verdicts.VerdictLog`
-and optional :class:`~repro.service.spool.FlagSpool`), and the
-worker's single-threaded loop gives a useful ordering guarantee for
-free: because a worker's pipe is FIFO and queries travel down the
-same pipe as data, a query reply reflects every observation routed
-to that worker before the query was issued.
+The only thing that varies with ``N`` is how the pool reaches a slot:
 
-Queries scatter-gather.  ``/stats`` merges worker counters;
-``/senders/<id>`` routes to the one owning worker; ``/verdicts``
-merges the per-worker verdict logs — a verdict's identity becomes a
-``(worker, seq)`` pair, and the poll cursor becomes one dot-joined
-token of per-worker sequence numbers (``"12.7.9.4"``), so a resuming
-watcher still walks the merged history with no loss and no
+* ``N == 1`` — the one slot is held **in-process**: no fork, no pipe.
+  :meth:`IngestWorkerPool.ingest_line` calls the slot's
+  ``DetectionService.ingest_line`` directly (no routing scan), so a
+  line is folded in before the call returns, and ``/watch`` parks in
+  the slot's :meth:`~repro.service.verdicts.VerdictLog.wait_for`.
+* ``N > 1`` — each slot is a worker process behind a duplex pipe.  A
+  single interpreter tops out near the one-GIL ceiling; the front-end
+  routes wire lines by scanning out the sender key
+  (:func:`~repro.service.codec.sender_of_line` — no JSON parse on the
+  routing path), batches them per worker and ships each batch down
+  that worker's pipe, so decode and fold run in parallel.  Queries
+  travel down the same FIFO pipe as data, so a query reply reflects
+  every line routed to that worker before the query was issued.
+  ``/watch`` polls the scatter every :data:`_WATCH_POLL_S` seconds: a
+  worker blocked in a long-poll could not ingest.
+
+Everything else is one path for every ``N``: the slot-side query
+handler (:func:`_handle_query`, which the in-process slot calls
+directly), the cursor codec, the merged ``/verdicts``, ``/stats``, and
+the spool-geometry check.  A verdict's identity is a ``(worker, seq)``
+pair, and the poll cursor is one dot-joined token of per-worker
+sequence numbers (``"12.7.9.4"``; ``"12"`` for one worker), so a
+resuming watcher walks the merged history with no loss and no
 duplicates (property-tested in ``tests/test_service_workers.py``).
-``/watch`` is a bounded polling loop over the scatter (worker loops
-must never block on a long-poll, or ingest would stall behind it).
 
 Worker processes are started with the ``fork`` method where the
 platform offers it (cheap, and the pool is constructed before any
@@ -40,6 +44,8 @@ picklable plain-data configs.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import multiprocessing
 import pathlib
 import pickle
@@ -47,11 +53,14 @@ import signal
 import time
 from dataclasses import dataclass
 from threading import Lock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.params import PAPER_CONFIG, ProtocolConfig
 from repro.detect import DEFAULT_DETECTOR
+from repro.experiments.campaign.journal import JournalError
 from repro.service.codec import WireError, decode_record, sender_of_line
+from repro.service.ingest import DetectionService
+from repro.service.spool import FlagSpool, SpoolError, spool_path
 from repro.service.store import (
     DEFAULT_MAX_ENTRIES,
     DEFAULT_SHARDS,
@@ -67,7 +76,7 @@ BATCH_BYTES = 64 * 1024
 #: Seconds the pool waits for a worker to come up / shut down.
 _STARTUP_TIMEOUT = 60.0
 _SHUTDOWN_TIMEOUT = 10.0
-#: Poll interval of the /watch scatter loop (seconds).
+#: Poll interval of the multi-process /watch scatter loop (seconds).
 _WATCH_POLL_S = 0.05
 
 _TAG_DATA = b"D"
@@ -82,8 +91,8 @@ class WorkerPoolError(RuntimeError):
 
 @dataclass(frozen=True)
 class WorkerConfig:
-    """Everything a worker process needs to build its service
-    (plain picklable data — it crosses the process boundary)."""
+    """Everything a worker slot needs to build its service (plain
+    picklable data — it crosses the process boundary)."""
 
     index: int
     workers: int
@@ -97,35 +106,40 @@ class WorkerConfig:
 
 
 # ----------------------------------------------------------------------
-# Worker side
+# Slot side
 # ----------------------------------------------------------------------
-def _worker_main(conn, cfg: WorkerConfig) -> None:
-    """One ingest worker: build the service (replaying its spool
-    slice first), then serve the pipe until told to stop."""
-    from repro.service.ingest import DetectionService
-    from repro.service.spool import FlagSpool, SpoolError, spool_path
+def _build_service(cfg: WorkerConfig) -> DetectionService:
+    """The slot's service, its spool slice replayed before it returns."""
+    spool = None
+    if cfg.spool_dir is not None:
+        spool = FlagSpool(
+            spool_path(cfg.spool_dir, cfg.index, cfg.workers),
+            detector=cfg.detector,
+            worker=cfg.index,
+            workers=cfg.workers,
+        )
+    return DetectionService(
+        detector=cfg.detector,
+        config=cfg.config,
+        shards=cfg.shards,
+        max_entries=cfg.max_entries,
+        transition_cap=cfg.transition_cap,
+        verdict_cap=cfg.verdict_cap,
+        spool=spool,
+    )
 
+
+def _worker_main(conn, cfg: WorkerConfig) -> None:
+    """One ingest worker process: build the service, then serve the
+    pipe until told to stop."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # front-end owns ^C
     try:
-        spool = None
-        if cfg.spool_dir is not None:
-            spool = FlagSpool(
-                spool_path(cfg.spool_dir, cfg.index, cfg.workers),
-                detector=cfg.detector,
-                worker=cfg.index,
-                workers=cfg.workers,
-            )
-        service = DetectionService(
-            detector=cfg.detector,
-            config=cfg.config,
-            shards=cfg.shards,
-            max_entries=cfg.max_entries,
-            transition_cap=cfg.transition_cap,
-            verdict_cap=cfg.verdict_cap,
-            spool=spool,
-        )
-    except (SpoolError, Exception) as exc:  # noqa: B014 - report, then die
-        conn.send_bytes(pickle.dumps(("__error__", f"{type(exc).__name__}: {exc}")))
+        service = _build_service(cfg)
+    except Exception as exc:  # noqa: BLE001 - report, then die
+        spool_fault = isinstance(exc, (SpoolError, JournalError))
+        conn.send_bytes(pickle.dumps(
+            ("__error__", f"{type(exc).__name__}: {exc}", spool_fault)
+        ))
         return
     conn.send_bytes(pickle.dumps(("ready", cfg.index, service.replayed_flags)))
 
@@ -169,6 +183,8 @@ def _worker_main(conn, cfg: WorkerConfig) -> None:
 
 
 def _handle_query(service, cfg: WorkerConfig, misroutes: int, request):
+    """Answer one query against a slot's service.  Never blocks: a
+    worker process answers queries on its ingest loop."""
     kind = request[0]
     if kind == "ping":
         return ("pong", cfg.index)
@@ -178,9 +194,10 @@ def _handle_query(service, cfg: WorkerConfig, misroutes: int, request):
         stats["misroutes"] = misroutes
         return stats
     if kind == "verdicts":
-        _, after, limit = request
+        _, after, limit, with_flagged = request
         pairs, newest, info = service.verdicts.raw_events_after(after, limit)
-        return (pairs, newest, info, service.store.flagged_senders())
+        flagged = service.store.flagged_senders() if with_flagged else []
+        return (pairs, newest, info, flagged)
     if kind == "sender":
         return service.store.get(request[1])
     raise ValueError(f"unknown worker query {kind!r}")
@@ -201,43 +218,146 @@ def _check_spool_geometry(spool_dir, workers: int) -> None:
         except (IndexError, ValueError):  # not ours; header check governs
             continue
         if found != workers:
-            raise WorkerPoolError(
+            raise SpoolError(
                 f"spool directory {spool_dir} holds flag history for a "
                 f"{found}-worker service ({path.name}) but this pool has "
-                f"{workers} workers; replaying would mis-assign senders "
+                f"{workers} worker(s); replaying would mis-assign senders "
                 f"— restart with --workers {found} or move the spools "
                 f"aside"
             )
 
 
 # ----------------------------------------------------------------------
-# Front-end side
+# Slot transports
 # ----------------------------------------------------------------------
-class _WorkerHandle:
-    __slots__ = ("index", "process", "conn", "lock", "pending",
-                 "pending_bytes")
+class _LocalSlot:
+    """Worker 0 of 1, held in-process: every call is a direct call."""
 
-    def __init__(self, index, process, conn):
-        self.index = index
-        self.process = process
-        self.conn = conn
+    def __init__(self, cfg: WorkerConfig):
+        self.cfg = cfg
+        self.service = _build_service(cfg)
+        self.replayed_flags = self.service.replayed_flags
+
+    def ingest_line(self, line: str) -> None:
+        self.service.ingest_line(line)
+
+    def query(self, request: tuple):
+        return _handle_query(self.service, self.cfg, 0, request)
+
+    def close(self) -> None:
+        self.service.close()
+
+
+class _PipeSlot:
+    """One worker process, reached over a duplex pipe."""
+
+    __slots__ = ("index", "process", "conn", "lock", "pending",
+                 "pending_bytes", "replayed_flags")
+
+    def __init__(self, context, cfg: WorkerConfig):
+        self.index = cfg.index
+        self.conn, child_conn = context.Pipe(duplex=True)
+        self.process = context.Process(
+            target=_worker_main,
+            args=(child_conn, cfg),
+            name=f"repro-ingest-{cfg.index}",
+            daemon=True,
+        )
+        self.process.start()
+        child_conn.close()
         self.lock = Lock()
         self.pending: List[str] = []
         self.pending_bytes = 0
+        self.replayed_flags = 0
+
+    def await_ready(self) -> None:
+        if not self.conn.poll(_STARTUP_TIMEOUT):
+            raise WorkerPoolError(
+                f"worker {self.index} did not come up within "
+                f"{_STARTUP_TIMEOUT:g}s"
+            )
+        reply = pickle.loads(self.conn.recv_bytes())
+        if reply[0] == "__error__":
+            _, message, spool_fault = reply
+            error = SpoolError if spool_fault else WorkerPoolError
+            raise error(f"worker {self.index} failed to start: {message}")
+        self.replayed_flags = reply[2]
+
+    def ingest_line(self, line: str) -> None:
+        with self.lock:
+            self.pending.append(line)
+            self.pending_bytes += len(line) + 1
+            if (len(self.pending) >= BATCH_LINES
+                    or self.pending_bytes >= BATCH_BYTES):
+                self._ship_locked()
+
+    def _ship_locked(self) -> None:
+        payload = "\n".join(self.pending).encode("utf-8")
+        self.pending.clear()
+        self.pending_bytes = 0
+        try:
+            self.conn.send_bytes(_TAG_DATA + payload)
+        except (BrokenPipeError, OSError) as exc:
+            raise WorkerPoolError(
+                f"worker {self.index} pipe is gone "
+                f"({type(exc).__name__}); did the worker die?"
+            ) from exc
+
+    def query(self, request: tuple):
+        with self.lock:
+            if self.pending:
+                self._ship_locked()
+            try:
+                self.conn.send_bytes(
+                    _TAG_QUERY + pickle.dumps(request, pickle.HIGHEST_PROTOCOL)
+                )
+                reply = pickle.loads(self.conn.recv_bytes())
+            except (EOFError, BrokenPipeError, OSError) as exc:
+                raise WorkerPoolError(
+                    f"worker {self.index} died mid-query "
+                    f"({type(exc).__name__})"
+                ) from exc
+        if isinstance(reply, tuple) and reply and reply[0] == "__error__":
+            raise WorkerPoolError(
+                f"worker {self.index} query {request[0]!r} failed: "
+                f"{reply[1]}"
+            )
+        return reply
+
+    def close(self) -> None:
+        """Flush, stop the worker (it fsyncs its spool), reap it."""
+        with self.lock:
+            try:
+                if self.pending:
+                    self._ship_locked()
+                self.conn.send_bytes(_TAG_STOP)
+                if self.conn.poll(_SHUTDOWN_TIMEOUT):
+                    self.conn.recv_bytes()  # ("bye", index)
+            except (WorkerPoolError, EOFError, BrokenPipeError, OSError):
+                pass  # already dead; reap below
+            finally:
+                self.conn.close()
+        self.process.join(_SHUTDOWN_TIMEOUT)
+        if self.process.is_alive():  # pragma: no cover - stuck worker
+            self.process.terminate()
+            self.process.join(_SHUTDOWN_TIMEOUT)
 
 
+# ----------------------------------------------------------------------
+# Front-end
+# ----------------------------------------------------------------------
 class IngestWorkerPool:
-    """Front-end facade over ``N`` ingest worker processes.
+    """The service front-end over ``N`` worker slots.
 
-    Exposes the same ingest surface as :class:`~repro.service.ingest.
-    DetectionService` (``ingest_line`` raising :class:`WireError` on
-    malformed lines, ``record_decode_error``, ``record_disconnect``)
-    and the same query surface (``api_stats`` / ``api_verdicts`` /
-    ``api_watch`` / ``api_sender``), so the TCP ingest server, the
-    stdin pump and the HTTP API drive either interchangeably.
+    Ingest surface: ``ingest_line`` (raising :class:`WireError` on
+    malformed lines), ``record_decode_error``, ``record_disconnect`` —
+    what the TCP ingest server and the stdin pump drive.  Query
+    surface: ``api_stats`` / ``api_verdicts`` / ``api_watch`` /
+    ``api_sender`` — what the HTTP API drives.
 
-    Ingested lines are *asynchronous*: they buffer per worker and ship
-    in batches.  Queries flush the relevant buffers first, so a query
+    With one worker a line is folded in before :meth:`ingest_line`
+    returns.  With several, lines buffer per worker and ship in
+    batches; queries flush the relevant buffers first, so a query
     issued after ``ingest_line`` returned always observes that line.
     :meth:`barrier` flushes everything and round-trips every worker —
     after it returns, all previously ingested lines are folded in.
@@ -253,7 +373,6 @@ class IngestWorkerPool:
         transition_cap: int = DEFAULT_TRANSITION_CAP,
         verdict_cap: int = DEFAULT_VERDICT_CAP,
         spool_dir: Optional[str] = None,
-        start_method: Optional[str] = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -261,89 +380,70 @@ class IngestWorkerPool:
             _check_spool_geometry(spool_dir, workers)
         self.workers = workers
         self.detector_spec = detector
-        self.spool_dir = spool_dir
         self.started = time.monotonic()
-        self.replayed_flags = 0
         self._closed = False
         self._counter_lock = Lock()
         self._decode_errors = 0
         self._disconnects = 0
-        self._routed = 0
 
-        if start_method is None:
+        configs = [
+            WorkerConfig(
+                index=index,
+                workers=workers,
+                detector=detector,
+                config=config,
+                shards=shards,
+                max_entries=max_entries,
+                transition_cap=transition_cap,
+                verdict_cap=verdict_cap,
+                spool_dir=spool_dir,
+            )
+            for index in range(workers)
+        ]
+        if workers == 1:
+            self._handles = [_LocalSlot(configs[0])]
+        else:
             methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        context = multiprocessing.get_context(start_method)
-        self._handles: List[_WorkerHandle] = []
-        try:
-            for index in range(workers):
-                parent_conn, child_conn = context.Pipe(duplex=True)
-                cfg = WorkerConfig(
-                    index=index,
-                    workers=workers,
-                    detector=detector,
-                    config=config,
-                    shards=shards,
-                    max_entries=max_entries,
-                    transition_cap=transition_cap,
-                    verdict_cap=verdict_cap,
-                    spool_dir=spool_dir,
-                )
-                process = context.Process(
-                    target=_worker_main,
-                    args=(child_conn, cfg),
-                    name=f"repro-ingest-{index}",
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                self._handles.append(_WorkerHandle(index, process, parent_conn))
-            for handle in self._handles:
-                if not handle.conn.poll(_STARTUP_TIMEOUT):
-                    raise WorkerPoolError(
-                        f"worker {handle.index} did not come up within "
-                        f"{_STARTUP_TIMEOUT:g}s"
-                    )
-                reply = pickle.loads(handle.conn.recv_bytes())
-                if reply[0] == "__error__":
-                    raise WorkerPoolError(
-                        f"worker {handle.index} failed to start: {reply[1]}"
-                    )
-                self.replayed_flags += reply[2]
-        except BaseException:
-            self._terminate()
-            raise
+            context = multiprocessing.get_context(
+                "fork" if "fork" in methods else "spawn"
+            )
+            self._handles = []
+            try:
+                for cfg in configs:
+                    self._handles.append(_PipeSlot(context, cfg))
+                for handle in self._handles:
+                    handle.await_ready()
+            except BaseException:
+                for handle in self._handles:
+                    handle.close()
+                raise
+        self.replayed_flags = sum(h.replayed_flags for h in self._handles)
 
     # ------------------------------------------------------------------
     # Ingest surface
     # ------------------------------------------------------------------
     def ingest_line(self, line: str) -> None:
-        """Route one wire line to its owning worker (batched).
+        """Fold one wire line in (one worker) or route it to its owning
+        worker's batch (several).
 
-        Raises :class:`WireError` for lines that are provably
-        malformed — the router scans the sender out without a JSON
-        parse and only falls back to a strict decode when the scan is
-        undecided, so well-formed traffic never pays for a front-end
-        parse.
+        Raises :class:`WireError` for malformed lines.  The multi-worker
+        router scans the sender out without a JSON parse and only falls
+        back to a strict decode when the scan is undecided, so
+        well-formed traffic never pays for a front-end parse.
         """
+        if self.workers == 1:
+            self._handles[0].ingest_line(line)
+            return
         sender = sender_of_line(line)
         if sender is None:
             # Undecided: either malformed (raise so the TCP handler
             # can reject with a reason) or exotically escaped (route
             # by the decoded sender; the worker re-decodes).
             sender, _ = decode_record(line)
-        handle = self._handles[worker_of(sender, self.workers)]
-        with handle.lock:
-            handle.pending.append(line)
-            handle.pending_bytes += len(line) + 1
-            if (len(handle.pending) >= BATCH_LINES
-                    or handle.pending_bytes >= BATCH_BYTES):
-                self._ship_locked(handle)
-        with self._counter_lock:
-            self._routed += 1
+        self._handles[worker_of(sender, self.workers)].ingest_line(line)
 
     def ingest_lines(self, lines: Sequence[str]) -> int:
-        """Bulk :meth:`ingest_line`; returns lines routed.  Raises on
+        """Bulk :meth:`ingest_line`; returns lines ingested.  Raises on
         the first malformed line (the bench path pre-validates)."""
         for line in lines:
             self.ingest_line(line)
@@ -357,55 +457,12 @@ class IngestWorkerPool:
         with self._counter_lock:
             self._disconnects += 1
 
-    def flush(self) -> None:
-        """Ship every buffered batch now (without waiting)."""
-        for handle in self._handles:
-            with handle.lock:
-                if handle.pending:
-                    self._ship_locked(handle)
-
     def barrier(self) -> None:
         """Flush, then round-trip every worker: when this returns,
         every line previously accepted by :meth:`ingest_line` has been
         folded into its worker's detector state."""
         for handle in self._handles:
-            self._query(handle, ("ping",))
-
-    def _ship_locked(self, handle: _WorkerHandle) -> None:
-        payload = "\n".join(handle.pending).encode("utf-8")
-        handle.pending.clear()
-        handle.pending_bytes = 0
-        try:
-            handle.conn.send_bytes(_TAG_DATA + payload)
-        except (BrokenPipeError, OSError) as exc:
-            raise WorkerPoolError(
-                f"worker {handle.index} pipe is gone "
-                f"({type(exc).__name__}); did the worker die?"
-            ) from exc
-
-    # ------------------------------------------------------------------
-    # Scatter-gather queries
-    # ------------------------------------------------------------------
-    def _query(self, handle: _WorkerHandle, request: tuple):
-        with handle.lock:
-            if handle.pending:
-                self._ship_locked(handle)
-            try:
-                handle.conn.send_bytes(
-                    _TAG_QUERY + pickle.dumps(request, pickle.HIGHEST_PROTOCOL)
-                )
-                reply = pickle.loads(handle.conn.recv_bytes())
-            except (EOFError, BrokenPipeError, OSError) as exc:
-                raise WorkerPoolError(
-                    f"worker {handle.index} died mid-query "
-                    f"({type(exc).__name__})"
-                ) from exc
-        if isinstance(reply, tuple) and reply and reply[0] == "__error__":
-            raise WorkerPoolError(
-                f"worker {handle.index} query {request[0]!r} failed: "
-                f"{reply[1]}"
-            )
-        return reply
+            handle.query(("ping",))
 
     # ------------------------------------------------------------------
     # Cursor codec: one dot-joined token of per-worker sequence ids
@@ -432,15 +489,11 @@ class IngestWorkerPool:
             raise ValueError("cursor 'after' components must be >= 0")
         return cursors
 
-    @staticmethod
-    def format_cursor(cursors: Sequence[int]) -> str:
-        return ".".join(str(cursor) for cursor in cursors)
-
     # ------------------------------------------------------------------
-    # Query surface shared with DetectionService
+    # Scatter-gather queries
     # ------------------------------------------------------------------
     def api_stats(self) -> Dict[str, object]:
-        per_worker = [self._query(h, ("stats",)) for h in self._handles]
+        per_worker = [h.query(("stats",)) for h in self._handles]
         now = time.monotonic()
         uptime = max(now - self.started, 1e-9)
         observations = sum(w["observations"] for w in per_worker)
@@ -487,39 +540,78 @@ class IngestWorkerPool:
     def api_verdicts(
         self, after: Optional[str] = None, limit: Optional[int] = None,
     ) -> Dict[str, object]:
-        """Merged ``/verdicts``: scatter, tag with ``(worker, seq)``,
-        sort by flag wall clock, honor ``limit`` across the merge.
+        """Merged ``/verdicts``: scatter, merge, honor ``limit`` across
+        the merge, plus every worker's currently-flagged senders."""
+        cursors = self.parse_cursor(after)
+        results = self._scatter_verdicts(cursors, limit, with_flagged=True)
+        payload = self._merge_verdicts(cursors, results, limit)
+        payload["flagged"] = sorted(
+            sender for *_, flagged in results for sender in flagged
+        )
+        return payload
 
-        The per-worker cursor advance is prefix-safe: a worker's
-        events arrive in sequence order with non-decreasing wall
-        clocks (its ingest loop is single-threaded), so consuming a
-        prefix of the merged order consumes a prefix of each worker's
-        list — resuming from the returned token loses nothing and
-        duplicates nothing.
+    def api_watch(
+        self,
+        after: Optional[str] = None,
+        timeout: float = 30.0,
+        limit: Optional[int] = None,
+    ) -> Dict[str, object]:
+        """Long-poll ``/verdicts`` (without ``flagged``): answer once
+        events after the cursor exist or the timeout passes.
+
+        One in-process worker parks in its verdict log's ``wait_for``
+        until the publish wakes it, then scatters once; worker
+        processes are polled every :data:`_WATCH_POLL_S` seconds
+        instead, since a worker blocked in a long-poll could not
+        ingest.
         """
         cursors = self.parse_cursor(after)
-        results = [
-            self._query(handle, ("verdicts", cursors[handle.index], limit))
-            for handle in self._handles
+        deadline = time.monotonic() + max(timeout, 0.0)
+        while True:
+            if self.workers == 1:
+                self._handles[0].service.verdicts.wait_for(
+                    cursors[0],
+                    timeout=max(deadline - time.monotonic(), 0.0),
+                    limit=1,
+                )
+            results = self._scatter_verdicts(cursors, limit, with_flagged=False)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or any(pairs for pairs, *_ in results):
+                return self._merge_verdicts(cursors, results, limit)
+            time.sleep(min(_WATCH_POLL_S, remaining))
+
+    def _scatter_verdicts(self, cursors, limit, with_flagged: bool):
+        return [
+            handle.query(("verdicts", cursor, limit, with_flagged))
+            for handle, cursor in zip(self._handles, cursors)
         ]
-        tagged = [
-            (event.wall, index, seq, event)
+
+    def _merge_verdicts(self, cursors, results, limit) -> Dict[str, object]:
+        """Merge per-worker event lists into one page and advance the
+        cursor.
+
+        Each worker's list is consumed in ``seq`` order; the merge
+        across workers is by flag wall clock.  Wall clocks are not
+        monotone in ``seq`` (spooled events replay with the walls of
+        an earlier boot, and in-process ingest threads stamp ``wall``
+        before ``publish`` assigns ``seq``), so walls order *between*
+        workers only.  A page is therefore a prefix of every worker's
+        list, and resuming from the returned cursor loses nothing and
+        duplicates nothing.
+        """
+        streams = [
+            [(event.wall, index, seq, event) for seq, event in pairs]
             for index, (pairs, _, _, _) in enumerate(results)
-            for seq, event in pairs
         ]
-        tagged.sort(key=lambda item: (item[0], item[1], item[2]))
-        if limit is not None:
-            tagged = tagged[:limit]
+        merged = itertools.islice(
+            heapq.merge(*streams, key=lambda item: item[0]), limit
+        )
 
         consumed: Dict[int, int] = {}
         events = []
-        for _, index, seq, event in tagged:
+        for _, index, seq, event in merged:
             consumed[index] = seq
-            payload = event_payload(seq, event)
-            del payload["id"]
-            payload["worker"] = index
-            payload["seq"] = seq
-            events.append(payload)
+            events.append({"worker": index, "seq": seq, **event_payload(event)})
 
         next_ids = list(cursors)
         gap = False
@@ -551,42 +643,18 @@ class IngestWorkerPool:
                 "dropped": info["dropped"],
                 "gap": worker_gap,
             })
-
-        flagged = sorted(
-            sender for _, _, _, flagged_list in results
-            for sender in flagged_list
-        )
         return {
             "events": events,
-            "next": self.format_cursor(next_ids),
+            "next": ".".join(str(cursor) for cursor in next_ids),
             "dropped": dropped,
             "gap": gap,
-            "flagged": flagged,
             "workers": self.workers,
             "per_worker": per_worker,
         }
 
-    def api_watch(
-        self,
-        after: Optional[str] = None,
-        timeout: float = 30.0,
-        limit: Optional[int] = None,
-    ) -> Dict[str, object]:
-        """Poll the merged verdict scatter until events appear or the
-        timeout passes.  Bounded polling, not a blocking worker-side
-        wait: a worker blocked in a long-poll could not ingest."""
-        deadline = time.monotonic() + max(timeout, 0.0)
-        while True:
-            payload = self.api_verdicts(after, limit)
-            remaining = deadline - time.monotonic()
-            if payload["events"] or remaining <= 0:
-                payload.pop("flagged", None)
-                return payload
-            time.sleep(min(_WATCH_POLL_S, max(remaining, 0.0)))
-
     def api_sender(self, sender: str) -> Optional[Dict[str, object]]:
         index = worker_of(sender, self.workers)
-        snapshot = self._query(self._handles[index], ("sender", sender))
+        snapshot = self._handles[index].query(("sender", sender))
         if snapshot is not None:
             snapshot["worker"] = index
         return snapshot
@@ -595,30 +663,12 @@ class IngestWorkerPool:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Flush buffers, stop every worker, reap the processes."""
+        """Flush buffers, stop every worker, close every spool."""
         if self._closed:
             return
         self._closed = True
         for handle in self._handles:
-            with handle.lock:
-                try:
-                    if handle.pending:
-                        self._ship_locked(handle)
-                    handle.conn.send_bytes(_TAG_STOP)
-                    if handle.conn.poll(_SHUTDOWN_TIMEOUT):
-                        handle.conn.recv_bytes()  # ("bye", index)
-                except (WorkerPoolError, EOFError, BrokenPipeError, OSError):
-                    pass  # already dead; reap below
-                finally:
-                    handle.conn.close()
-        self._terminate()
-
-    def _terminate(self) -> None:
-        for handle in self._handles:
-            handle.process.join(_SHUTDOWN_TIMEOUT)
-            if handle.process.is_alive():  # pragma: no cover - stuck worker
-                handle.process.terminate()
-                handle.process.join(_SHUTDOWN_TIMEOUT)
+            handle.close()
 
     def __enter__(self) -> "IngestWorkerPool":
         return self

@@ -29,6 +29,7 @@ from repro.experiments.scenarios import (
 from repro.net import circle_topology
 from repro.service import (
     DetectionService,
+    IngestWorkerPool,
     ServiceHTTPServer,
     ShardedDetectorStore,
     TcpIngestServer,
@@ -54,6 +55,20 @@ def obs(b_exp, b_act, retries=1, time_us=0):
 
 def window_factory(window=5, thresh=20.0):
     return lambda: WindowDetector(window=window, thresh=thresh)
+
+
+def flag(pool, sender):
+    """Ingest one observation that flags ``sender`` on first sight."""
+    pool.ingest_line(encode_record(sender, obs(31.0, 0.0)))
+
+
+@pytest.fixture
+def pool1():
+    pool = IngestWorkerPool(workers=1, shards=1, max_entries=8)
+    try:
+        yield pool
+    finally:
+        pool.close()
 
 
 # ----------------------------------------------------------------------
@@ -347,8 +362,7 @@ class TestDetectionService:
         assert stats["store"]["currently_flagged"] == 1
         assert stats["verdicts"]["flags"] == 1
 
-    def test_ingest_stream_counts_rejects(self):
-        service = DetectionService(shards=1, max_entries=8)
+    def test_ingest_stream_counts_rejects(self, pool1):
         lines = [
             encode_record("3", obs(31.0, 0.0)),
             "",                       # keep-alive, skipped
@@ -357,9 +371,9 @@ class TestDetectionService:
             json.dumps({"v": 1, "b_exp": 1}),  # missing fields: rejected
         ]
         errors = io.StringIO()
-        ingested, rejected = ingest_stream(service, lines, errors=errors)
+        ingested, rejected = ingest_stream(pool1, lines, errors=errors)
         assert (ingested, rejected) == (2, 2)
-        assert service.stats()["decode_errors"] == 2
+        assert pool1.api_stats()["decode_errors"] == 2
         report = errors.getvalue()
         assert "line 3" in report and "line 5" in report
 
@@ -410,44 +424,41 @@ class TestDetectionService:
         """A poller resuming from before the retained window must see
         the gap (dropped events it can never observe), not a silently
         truncated history."""
-        service = DetectionService(shards=1, max_entries=64,
-                                   verdict_cap=3)
-        for i in range(6):  # six first flags through a cap-3 log
-            service.ingest_observation(f"cheat-{i}", obs(31.0, 0.0))
-        payload = service.api_verdicts("0")
-        assert [e["id"] for e in payload["events"]] == [4, 5, 6]
-        assert payload["oldest"] == 4
-        assert payload["dropped"] == 3
-        assert payload["gap"] is True  # ids 1..3 are unobservable
-        # Resuming from the returned cursor: no gap.
-        follow = service.api_verdicts(str(payload["next"]))
-        assert follow["events"] == [] and follow["gap"] is False
-        # A cursor exactly at the retention edge is not a gap either.
-        assert service.api_verdicts("3")["gap"] is False
+        with IngestWorkerPool(workers=1, shards=1, max_entries=64,
+                              verdict_cap=3) as pool:
+            for i in range(6):  # six first flags through a cap-3 log
+                flag(pool, f"cheat-{i}")
+            payload = pool.api_verdicts("0")
+            assert [e["seq"] for e in payload["events"]] == [4, 5, 6]
+            assert payload["per_worker"][0]["oldest"] == 4
+            assert payload["dropped"] == 3
+            assert payload["gap"] is True  # seqs 1..3 are unobservable
+            # Resuming from the returned cursor: no gap.
+            follow = pool.api_verdicts(payload["next"])
+            assert follow["events"] == [] and follow["gap"] is False
+            # A cursor exactly at the retention edge is not a gap either.
+            assert pool.api_verdicts("3")["gap"] is False
 
     def test_spool_replay_restores_flag_history(self, tmp_path):
-        from repro.service import FlagSpool, spool_path
+        from repro.service import read_spool_events, spool_path
 
-        path = spool_path(tmp_path, 0, 1)
-        with FlagSpool(path, detector="window") as spool:
-            service = DetectionService(shards=1, max_entries=8,
-                                       spool=spool)
-            service.ingest_observation("cheat", obs(31.0, 0.0))
-            service.ingest_observation("honest", obs(1.0, 1.0))
-            before = service.api_verdicts("0")
-        with FlagSpool(path, detector="window") as spool:
-            restarted = DetectionService(shards=1, max_entries=8,
-                                         spool=spool)
+        with IngestWorkerPool(workers=1, shards=1, max_entries=8,
+                              spool_dir=tmp_path) as pool:
+            flag(pool, "cheat")
+            pool.ingest_line(encode_record("honest", obs(1.0, 1.0)))
+            before = pool.api_verdicts("0")
+        with IngestWorkerPool(workers=1, shards=1, max_entries=8,
+                              spool_dir=tmp_path) as restarted:
             assert restarted.replayed_flags == 1
             after = restarted.api_verdicts("0")
         assert after["events"] == before["events"]  # byte-identical
-        assert len(spool.replayed) == 1  # replay never re-appends
+        # Replay never re-appends.
+        assert len(read_spool_events(spool_path(tmp_path, 0, 1))) == 1
 
 
 class TestTcpIngest:
-    def test_stream_over_socket(self):
-        service = DetectionService(shards=1, max_entries=8)
-        server = TcpIngestServer(service)
+    def test_stream_over_socket(self, pool1):
+        server = TcpIngestServer(pool1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -465,22 +476,21 @@ class TestTcpIngest:
             assert len(rejects) == 1
             assert "JSON" in rejects[0]["error"]
             deadline = 50
-            while service.stats()["observations"] < 2 and deadline:
+            while pool1.api_stats()["observations"] < 2 and deadline:
                 threading.Event().wait(0.05)
                 deadline -= 1
-            stats = service.stats()
+            stats = pool1.api_stats()
             assert stats["observations"] == 2
             assert stats["decode_errors"] == 1
         finally:
             server.shutdown()
             server.server_close()
 
-    def test_client_dying_mid_stream_is_counted_not_raised(self):
+    def test_client_dying_mid_stream_is_counted_not_raised(self, pool1):
         """A peer that resets the connection mid-record must not dump
         a traceback from the handler thread: the reset is counted as a
         disconnect and everything ingested before it survives."""
-        service = DetectionService(shards=1, max_entries=8)
-        server = TcpIngestServer(service)
+        server = TcpIngestServer(pool1)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -489,7 +499,7 @@ class TestTcpIngest:
             conn.sendall((encode_record("3", obs(31.0, 0.0)) + "\n"
                           + '{"half a rec').encode())  # dies mid-line
             deadline = 100
-            while service.stats()["observations"] < 1 and deadline:
+            while pool1.api_stats()["observations"] < 1 and deadline:
                 threading.Event().wait(0.05)
                 deadline -= 1
             # SO_LINGER with zero timeout turns close() into a hard
@@ -499,10 +509,10 @@ class TestTcpIngest:
                             struct.pack("ii", 1, 0))
             conn.close()
             deadline = 100
-            while service.stats()["disconnects"] < 1 and deadline:
+            while pool1.api_stats()["disconnects"] < 1 and deadline:
                 threading.Event().wait(0.05)
                 deadline -= 1
-            stats = service.stats()
+            stats = pool1.api_stats()
             assert stats["disconnects"] == 1
             assert stats["observations"] == 1  # pre-reset line folded in
         finally:
@@ -547,23 +557,66 @@ class TestServeCommand:
                 assert not spool.repaired
                 assert spool.replayed == []
 
+    @pytest.mark.parametrize("workers, history, detector, reason", [
+        (1, 3, "window", "3-worker"),
+        (2, 3, "window", "3-worker"),
+        (2, 2, "cusum:h=2.0,k=0.25", "detector"),
+    ])
+    def test_unusable_spool_exits_2(self, tmp_path, workers, history,
+                                    detector, reason):
+        """A flag history of another worker count, or one a worker
+        refuses to open, must stop ``repro serve`` with one ``spool
+        error:`` line and exit 2 — not serve an empty history, and not
+        crash with a traceback."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        from repro.service import FlagSpool, spool_path
+
+        for worker in range(history):
+            FlagSpool(spool_path(tmp_path, worker, history),
+                      detector=detector, worker=worker,
+                      workers=history).close()
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("REPRO_SERVICE_WORKERS", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", str(workers), "--spool-dir", str(tmp_path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        )
+        try:
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        lines = err.decode().splitlines()
+        assert proc.returncode == 2, err.decode()
+        assert len(lines) == 1 and lines[0].startswith("spool error: "), lines
+        assert reason in lines[0]
+
 
 # ----------------------------------------------------------------------
 # HTTP API
 # ----------------------------------------------------------------------
 @pytest.fixture
 def api():
-    """(base_url, service) with a live threaded HTTP server."""
-    service = DetectionService(shards=2, max_entries=8)
-    server = ServiceHTTPServer(service)
+    """(base_url, pool) with a live threaded HTTP server over a
+    one-worker pool."""
+    pool = IngestWorkerPool(workers=1, shards=2, max_entries=8)
+    server = ServiceHTTPServer(pool)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
     try:
-        yield f"http://{host}:{port}", service
+        yield f"http://{host}:{port}", pool
     finally:
         server.shutdown()
         server.server_close()
+        pool.close()
 
 
 def _get(url):
@@ -576,17 +629,17 @@ def _get(url):
 
 class TestHttpApi:
     def test_stats(self, api):
-        base, service = api
-        service.ingest_observation("3", obs(31.0, 0.0))
+        base, pool = api
+        flag(pool, "3")
         status, body = _get(f"{base}/stats")
         assert status == 200
         assert body["observations"] == 1
         assert body["store"]["shards"] == 2
 
     def test_verdicts_polling(self, api):
-        base, service = api
-        service.ingest_observation("3", obs(31.0, 0.0))
-        service.ingest_observation("7", obs(1.0, 1.0))
+        base, pool = api
+        flag(pool, "3")
+        pool.ingest_line(encode_record("7", obs(1.0, 1.0)))
         status, body = _get(f"{base}/verdicts")
         assert status == 200
         assert [e["sender"] for e in body["events"]] == ["3"]
@@ -597,8 +650,8 @@ class TestHttpApi:
         assert body["next"] == cursor
 
     def test_sender_snapshot_and_404(self, api):
-        base, service = api
-        service.ingest_observation("3", obs(31.0, 0.0))
+        base, pool = api
+        flag(pool, "3")
         status, body = _get(f"{base}/senders/3")
         assert status == 200
         assert body["flagged"] is True
@@ -621,7 +674,7 @@ class TestHttpApi:
         assert status == 400
 
     def test_watch_long_poll_wakes_on_flag(self, api):
-        base, service = api
+        base, pool = api
         got = {}
 
         def poll():
@@ -631,7 +684,7 @@ class TestHttpApi:
 
         poller = threading.Thread(target=poll)
         poller.start()
-        service.ingest_observation("3", obs(31.0, 0.0))
+        flag(pool, "3")
         poller.join(timeout=10.0)
         assert not poller.is_alive()
         assert got["status"] == 200
@@ -648,9 +701,9 @@ class TestHttpApi:
         """Walking the full event list with ?limit=N across polls
         (always resuming from the returned ``next``) must yield every
         event exactly once, whatever N."""
-        base, service = api
+        base, pool = api
         for i in range(10):
-            service.ingest_observation(f"cheat-{i}", obs(31.0, 0.0))
+            flag(pool, f"cheat-{i}")
         for limit in (1, 3, 4, 10, 25):
             walked, cursor, polls = [], 0, 0
             while True:
@@ -662,7 +715,7 @@ class TestHttpApi:
                 if not body["events"]:
                     assert body["next"] == cursor
                     break
-                walked.extend(e["id"] for e in body["events"])
+                walked.extend(e["seq"] for e in body["events"])
                 cursor = body["next"]
                 polls += 1
                 assert polls <= 20, "cursor walk failed to terminate"
@@ -671,25 +724,26 @@ class TestHttpApi:
     def test_verdicts_gap_surfaces_over_http(self):
         """Cap overflow between polls: the next poll's payload says
         events were dropped instead of silently skipping them."""
-        service = DetectionService(shards=1, max_entries=64,
-                                   verdict_cap=2)
-        server = ServiceHTTPServer(service)
+        pool = IngestWorkerPool(workers=1, shards=1, max_entries=64,
+                                verdict_cap=2)
+        server = ServiceHTTPServer(pool)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
             host, port = server.server_address[:2]
             base = f"http://{host}:{port}"
             for i in range(5):
-                service.ingest_observation(f"cheat-{i}", obs(31.0, 0.0))
+                flag(pool, f"cheat-{i}")
             status, body = _get(f"{base}/verdicts?after=1")
             assert status == 200
-            assert [e["id"] for e in body["events"]] == [4, 5]
-            assert body["oldest"] == 4
+            assert [e["seq"] for e in body["events"]] == [4, 5]
+            assert body["per_worker"][0]["oldest"] == 4
             assert body["dropped"] == 3
-            assert body["gap"] is True  # ids 2 and 3 fell out of view
+            assert body["gap"] is True  # seqs 2 and 3 fell out of view
         finally:
             server.shutdown()
             server.server_close()
+            pool.close()
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,9 @@ Covers worker routing (disjointness, decorrelation from shard
 placement), the scatter-gather query surface, the merged ``/verdicts``
 cursor (no loss, no duplication across limited polls), the
 crash-safety of the flag spool (graceful restart, SIGKILL restart,
-torn-tail repair), and the subsystem's inherited central promise: the
-worker pool serves the identical verdicts the single-process service
-does on the same stream.
+torn-tail repair), the in-process one-worker transport, and the
+subsystem's inherited central promise: N worker processes serve the
+identical verdicts one in-process worker does on the same stream.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import pytest
 
 from repro.detect import Observation
 from repro.service import (
-    DetectionService,
     FlagSpool,
     IngestWorkerPool,
     ServiceHTTPServer,
@@ -234,15 +233,115 @@ class TestMergedVerdicts:
         payload = pool3.api_watch(timeout=5.0)
         assert [e["sender"] for e in payload["events"]] == ["cheat"]
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_walk_exactly_once_over_replayed_walls(self, tmp_path, workers):
+        """Spooled events replay with the wall clocks of an earlier
+        boot, so a worker's walls are not monotone in ``seq``.  Walking
+        with any limit must still visit every ``(worker, seq)`` once,
+        each worker's ``seq`` values in increasing order."""
+        for worker in range(workers):
+            with FlagSpool(spool_path(tmp_path, worker, workers),
+                           detector="window", worker=worker,
+                           workers=workers) as spool:
+                for i in range(3):
+                    spool.append(FlagEvent(
+                        sender=f"old-{worker}-{i}", time_us=i,
+                        wall=1e12 + i, first_obs_wall=1e12, observations=4,
+                    ))
+        with IngestWorkerPool(workers=workers, spool_dir=tmp_path) as pool:
+            for i in range(3):
+                pool.ingest_line(cheat_line(f"new{i}", time_us=i))
+            full = {(e["worker"], e["seq"])
+                    for e in pool.api_verdicts()["events"]}
+            assert len(full) == 3 * workers + 3
+            for limit in range(1, 8):
+                walked, cursor = [], None
+                for _ in range(40):
+                    page = pool.api_verdicts(cursor, limit)
+                    if not page["events"]:
+                        break
+                    assert len(page["events"]) <= limit
+                    walked.extend(
+                        (e["worker"], e["seq"]) for e in page["events"]
+                    )
+                    cursor = page["next"]
+                assert len(walked) == len(set(walked)), (limit, walked)
+                assert set(walked) == full, (limit, walked)
+                for worker in range(workers):
+                    seqs = [seq for w, seq in walked if w == worker]
+                    assert seqs == sorted(seqs), (limit, worker, seqs)
+
+
+class TestOneWorkerPool:
+    def test_ingest_line_folds_before_returning(self, monkeypatch):
+        """One worker is held in-process: ``ingest_line`` folds the
+        line before it returns (no barrier, no query) and never runs
+        the multi-worker routing scan."""
+        import repro.service.workers as workers_module
+
+        def no_scan(line):
+            raise AssertionError("one worker needs no routing scan")
+
+        monkeypatch.setattr(workers_module, "sender_of_line", no_scan)
+        with IngestWorkerPool(workers=1) as pool:
+            pool.ingest_line(cheat_line("cheat"))
+            service = pool._handles[0].service
+            assert service.stats()["observations"] == 1
+            assert service.store.get("cheat")["flagged"] is True
+
+    def test_watch_parks_in_verdict_log_and_wakes_on_publish(self):
+        """A one-worker ``/watch`` parks in the verdict log's
+        ``wait_for``, wakes on the publish itself and answers with one
+        scatter — it does not poll, and never pays for the ``flagged``
+        scan."""
+        with IngestWorkerPool(workers=1) as pool:
+            slot = pool._handles[0]
+            scatters = []
+            query = slot.query
+
+            def counting_query(request):
+                if request[0] == "verdicts":
+                    scatters.append(request)
+                return query(request)
+
+            def no_flagged_scan():
+                raise AssertionError("/watch must not scan flagged senders")
+
+            parked = threading.Event()
+            log = slot.service.verdicts
+            wait_for = log.wait_for
+
+            def parking_wait_for(*args, **kwargs):
+                parked.set()
+                return wait_for(*args, **kwargs)
+
+            slot.query = counting_query
+            slot.service.store.flagged_senders = no_flagged_scan
+            log.wait_for = parking_wait_for
+            got = {}
+            watcher = threading.Thread(
+                target=lambda: got.update(pool.api_watch(timeout=10.0))
+            )
+            watcher.start()
+            assert parked.wait(5.0)
+            time.sleep(0.3)  # several poll intervals of a polling watch
+            assert scatters == []
+            pool.ingest_line(cheat_line("cheat"))
+            watcher.join(5.0)
+            assert not watcher.is_alive()
+            assert [e["sender"] for e in got["events"]] == ["cheat"]
+            assert len(scatters) == 1
+
 
 # ----------------------------------------------------------------------
-# Equivalence with the single-process service
+# Equivalence with the single-process (one in-process worker) service
 # ----------------------------------------------------------------------
 class TestPoolEquivalence:
     def test_pool_verdicts_identical_to_single_process(self):
         """The inherited central contract: sharding ingest over worker
         processes changes nothing about who gets flagged, when (in
-        stream time), or after how many observations."""
+        stream time), or after how many observations — compared with
+        the one-worker pool, which folds every line in-process."""
         lines = []
         for i in range(600):
             sender = str(i % 40)
@@ -251,11 +350,10 @@ class TestPoolEquivalence:
                 cheat_line(sender, time_us=i) if cheating
                 else honest_line(sender, time_us=i)
             )
-        single = DetectionService(shards=4, max_entries=1_000)
-        for line in lines:
-            single.ingest_line(line)
+        single = IngestWorkerPool(workers=1, shards=4, max_entries=1_000)
         pool = IngestWorkerPool(workers=4, shards=4, max_entries=1_000)
         try:
+            single.ingest_lines(lines)
             pool.ingest_lines(lines)
             pool.barrier()
             single_payload = single.api_verdicts("0")
@@ -278,6 +376,7 @@ class TestPoolEquivalence:
                     assert mine[field] == theirs[field]
         finally:
             pool.close()
+            single.close()
 
     def test_multi_worker_bench_invariants_at_toy_scale(self):
         from repro.service import BenchConfig, run_bench
@@ -463,19 +562,19 @@ class TestPoolRestartReplay:
         pool = IngestWorkerPool(workers=2, spool_dir=tmp_path)
         self._flag_some(pool, n=4)
         pool.close()
-        from repro.service import WorkerPoolError
-        with pytest.raises(WorkerPoolError, match="workers"):
+        with pytest.raises(SpoolError, match="workers"):
             IngestWorkerPool(workers=3, spool_dir=tmp_path)
+        with pytest.raises(SpoolError, match="2-worker"):
+            IngestWorkerPool(workers=1, spool_dir=tmp_path)
 
-    def test_single_process_and_pool_spools_are_distinct(self, tmp_path):
-        """A 1-worker pool and a bare DetectionService use the same
-        spool slot (worker 0 of 1): history written by one is replayed
-        by the other."""
-        service = DetectionService(
-            spool=FlagSpool(spool_path(tmp_path, 0, 1), detector="window")
-        )
-        service.ingest_observation("cheat", obs(31.0, 0.0))
-        service.close()
+    def test_direct_flag_spool_replays_into_one_worker_pool(self, tmp_path):
+        """A ``flags-000-of-001.jsonl`` written through ``FlagSpool``
+        directly (as single-process ``repro serve`` once wrote it) is
+        the one-worker pool's spool slot: the pool replays it."""
+        with FlagSpool(spool_path(tmp_path, 0, 1),
+                       detector="window") as spool:
+            spool.append(FlagEvent(sender="cheat", time_us=5, wall=2.0,
+                                   first_obs_wall=1.5, observations=4))
         pool = IngestWorkerPool(workers=1, spool_dir=tmp_path)
         try:
             assert pool.replayed_flags == 1
