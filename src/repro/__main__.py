@@ -730,7 +730,8 @@ def _serve_forever(args: argparse.Namespace) -> int:
                   file=sys.stderr, flush=True)
         if args.stdin:
             ingested, rejected = ingest_stream(
-                service, sys.stdin, errors=sys.stderr
+                service, getattr(sys.stdin, "buffer", sys.stdin),
+                errors=sys.stderr,
             )
             print(f"stdin drained: {ingested} ingested, {rejected} "
                   f"rejected", file=sys.stderr, flush=True)

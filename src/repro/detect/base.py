@@ -93,7 +93,28 @@ class Observation:
         unsupported ``v``, missing fields, unknown fields, wrong
         types (bools are not numbers), non-finite backoffs,
         ``retries < 1`` and ``time_us < 0``.
+
+        Records as :meth:`to_dict` writes them take one pass: exact key
+        set, exact field types, range checks, positional construction.
+        Anything else falls through to the field-by-field checks below,
+        which accept the same records and word every rejection.
         """
+        if type(data) is dict and len(data) == 5:
+            try:
+                version = data["v"]
+                b_exp = data["b_exp"]
+                b_act = data["b_act"]
+                retries = data["retries"]
+                time_us = data["time_us"]
+            except KeyError:
+                pass
+            else:
+                if (version == OBSERVATION_SCHEMA_VERSION
+                        and type(b_exp) is float and type(b_act) is float
+                        and type(retries) is int and type(time_us) is int
+                        and retries >= 1 and time_us >= 0
+                        and math.isfinite(b_exp) and math.isfinite(b_act)):
+                    return cls(b_exp, b_act, retries, time_us)
         if not isinstance(data, dict):
             raise ObservationDecodeError(
                 f"observation record must be a JSON object, "

@@ -36,6 +36,14 @@ WIRE_VERSION = OBSERVATION_SCHEMA_VERSION
 MAX_SENDER_LENGTH = 256
 
 
+#: json.loads' value scanner, called directly: a wire line is one JSON
+#: value with nothing around it (see :func:`decode_record`).
+_scan_once = json.JSONDecoder().scan_once
+
+#: Stands for an absent ``sender`` key (a JSON ``null`` is present).
+_MISSING = object()
+
+
 class WireError(ValueError):
     """A wire line is not a valid observation record."""
 
@@ -84,25 +92,32 @@ def decode_record(line: str) -> Tuple[str, Observation]:
 
     Raises :class:`WireError` with a message naming what is wrong:
     invalid JSON, a non-object payload, a missing/empty/oversized/
-    non-string ``sender``, or any observation-schema violation
-    (reported through :class:`~repro.detect.ObservationDecodeError`'s
-    message).
+    non-string ``sender`` (or one holding a lone surrogate), or any
+    observation-schema violation (reported through
+    :class:`~repro.detect.ObservationDecodeError`'s message).
     """
     try:
-        data = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireError(f"line is not valid JSON: {exc}") from None
-    if not isinstance(data, dict):
+        data, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, TypeError):
+        end = -1
+    if end != len(line):
+        # Not exactly one JSON value: json.loads settles it, accepting
+        # surrounding whitespace and wording every rejection.
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise WireError(f"line is not valid JSON: {exc}") from None
+    if type(data) is not dict:
         raise WireError(
             f"wire record must be a JSON object, got {type(data).__name__}"
         )
-    if "sender" not in data:
+    sender = data.pop("sender", _MISSING)
+    if sender is _MISSING:
         raise WireError(
             "wire record has no 'sender' field (which sender does this "
             "observation judge?)"
         )
-    sender = data.pop("sender")
-    if not isinstance(sender, str) or not sender:
+    if type(sender) is not str or not sender:
         raise WireError(
             f"wire field 'sender' must be a non-empty string, "
             f"got {sender!r}"
@@ -112,6 +127,15 @@ def decode_record(line: str) -> Tuple[str, Observation]:
             f"wire field 'sender' exceeds {MAX_SENDER_LENGTH} characters "
             f"({len(sender)})"
         )
+    if not sender.isascii():
+        # A JSON escape can smuggle in a lone surrogate, which no
+        # placement hash (shard_of, worker_of) can encode.
+        try:
+            sender.encode("utf-8")
+        except UnicodeEncodeError:
+            raise WireError(
+                f"wire field 'sender' is not valid Unicode, got {sender!r}"
+            ) from None
     try:
         observation = Observation.from_dict(data)
     except ObservationDecodeError as exc:

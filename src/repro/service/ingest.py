@@ -3,20 +3,28 @@
 :class:`DetectionService` is one worker slot's engine — it ties codec,
 store, verdict log and spool together and keeps the slot's counters.
 An :class:`~repro.service.workers.IngestWorkerPool` hosts one per
-worker slot and is the service's only front-end.  Observations reach
-it three ways:
+worker slot and is the service's only front-end.
 
-* **in-process** — :meth:`DetectionService.ingest_observation`
-  (already-decoded ``(sender, Observation)``; the hot path the bench
-  measures and the trace-replay adapter drives);
-* **stdin** — :func:`ingest_stream` pumps JSONL wire lines from any
-  text stream into a pool (``python -m repro serve --stdin <
-  trace.jsonl``);
-* **TCP** — :class:`TcpIngestServer`, a threaded line-oriented
-  socket server feeding a pool; each connection streams wire lines
-  and receives one JSON error line back per rejected record (accepted
-  records are silent, so a well-formed stream never blocks on
-  responses).
+Wire lines are decoded and folded in one place,
+:meth:`DetectionService.ingest_lines`, a chunk per call: it returns
+``(index, message)`` for each rejected line and updates the counters
+once per chunk.  Every wire source goes through it:
+
+* **TCP** — :class:`TcpIngestServer`, a threaded socket server feeding
+  a pool.  Each handler reads up to :data:`READ_BYTES` at a time
+  (:func:`read_chunks` carries a partial last line over to the next
+  read), makes one ``ingest_lines`` call per read and writes one JSON
+  error line back per rejected line, in order (accepted lines are
+  silent, so a well-formed stream never blocks on responses);
+* **stdin** — :func:`ingest_stream` pumps a binary stream the same way
+  (``python -m repro serve --stdin < trace.jsonl``), or an iterable of
+  text lines a chunk at a time;
+* **worker processes** — each batch a multi-worker pool ships down a
+  pipe is one ``ingest_lines`` call in the worker.
+
+:meth:`DetectionService.ingest_observation` folds an already-decoded
+``(sender, Observation)`` (the in-process bench and the trace-replay
+adapter).
 
 Malformed lines never kill an ingest source: they are counted
 (``decode_errors`` in ``/stats``), reported to the offender where a
@@ -25,11 +33,11 @@ not an error either: the reset is counted (``disconnects``) and the
 handler closes quietly.
 
 Ingest runs on many TCP handler threads at once, so every counter the
-service owns (``_ingested``, ``decode_errors``, ``disconnects``, the
-rate-sample deque) is guarded by one mutex — unlocked ``+=`` from
-concurrent threads loses updates, which silently skews
-``decode_errors`` and ``recent_obs_per_sec`` (regression-tested by a
-many-threads hammer in ``tests/test_service.py``).
+service owns (``_ingested``, ``decode_errors``, ``misroutes``,
+``disconnects``, the rate-sample deque) is guarded by one mutex —
+unlocked ``+=`` from concurrent threads loses updates, which silently
+skews ``decode_errors`` and ``recent_obs_per_sec`` (regression-tested
+by a many-threads hammer in ``tests/test_service.py``).
 
 With a :class:`~repro.service.spool.FlagSpool` attached, every
 published first-flag event is also persisted, and the spool's replayed
@@ -40,12 +48,15 @@ pre-crash ``/verdicts`` history byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import socketserver
 import time
 from collections import deque
 from threading import Lock
-from typing import Deque, Dict, IO, Iterable, Optional, Tuple
+from typing import (
+    Deque, Dict, IO, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.core.params import PAPER_CONFIG, ProtocolConfig
 from repro.detect import DEFAULT_DETECTOR, detector_factory
@@ -57,11 +68,18 @@ from repro.service.store import (
     DEFAULT_SHARDS,
     DEFAULT_TRANSITION_CAP,
     ShardedDetectorStore,
+    worker_of,
 )
 from repro.service.verdicts import DEFAULT_VERDICT_CAP, VerdictLog
 
 #: Observations between throughput snapshots (one clock read each).
 _RATE_SAMPLE_EVERY = 4096
+#: Bytes asked of one ``read1`` call by the chunked readers.
+READ_BYTES = 64 * 1024
+#: Lines per ingest call when pumping an iterable of text lines.
+STREAM_CHUNK_LINES = 1024
+#: The reject message of a line that is not valid UTF-8.
+NOT_UTF8 = "line is not valid UTF-8"
 
 
 class DetectionService:
@@ -85,6 +103,10 @@ class DetectionService:
         replayed events are published into the verdict log here, in
         spool order, before the constructor returns; every new first
         flag is appended to it.
+    worker / workers:
+        This engine's slot in the worker pool: wire lines whose sender
+        :func:`~repro.service.store.worker_of` places in another slot
+        are counted as ``misroutes`` and never folded.
     """
 
     def __init__(
@@ -96,8 +118,12 @@ class DetectionService:
         transition_cap: int = DEFAULT_TRANSITION_CAP,
         verdict_cap: int = DEFAULT_VERDICT_CAP,
         spool: Optional[FlagSpool] = None,
+        worker: int = 0,
+        workers: int = 1,
     ):
         self.detector_spec = detector
+        self.worker = worker
+        self.workers = workers
         self.store = ShardedDetectorStore(
             detector_factory(detector, config),
             shards=shards,
@@ -114,6 +140,7 @@ class DetectionService:
         self.started = time.monotonic()
         self.decode_errors = 0
         self.disconnects = 0
+        self.misroutes = 0
         self._ingested = 0
         #: Guards every counter above plus the rate-sample deque.
         self._counter_lock = Lock()
@@ -124,6 +151,57 @@ class DetectionService:
     # ------------------------------------------------------------------
     # Ingest paths
     # ------------------------------------------------------------------
+    def ingest_lines(
+        self, lines: Sequence[Optional[str]],
+    ) -> List[Tuple[int, str]]:
+        """Decode and fold a chunk of wire lines, in order.
+
+        Blank lines are keep-alives; ``None`` stands for a line that
+        was not valid UTF-8.  Returns ``(index, message)`` for every
+        rejected line, in order; a rejected line is counted in
+        ``decode_errors`` and skipped, and a line whose sender another
+        worker owns is counted in ``misroutes`` and skipped.  Counters
+        are updated once per call.
+        """
+        rejects: List[Tuple[int, str]] = []
+        folded = misroutes = 0
+        observe = self.store.observe
+        publish = self.verdicts.publish
+        spool = self.spool
+        worker, workers = self.worker, self.workers
+        for index, line in enumerate(lines):
+            if not line:
+                if line is None:
+                    rejects.append((index, NOT_UTF8))
+                continue
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                sender, observation = decode_record(line)
+            except WireError as exc:
+                rejects.append((index, str(exc)))
+                continue
+            if workers > 1 and worker_of(sender, workers) != worker:
+                # Defensive: the router only sends a worker the senders
+                # it owns; folding a stranger would split its state.
+                misroutes += 1
+                continue
+            _, event = observe(sender, observation)
+            if event is not None:
+                publish(event)
+                if spool is not None:
+                    spool.append(event)
+            folded += 1
+        self._count(folded, len(rejects), misroutes)
+        return rejects
+
+    def ingest_line(self, line: str) -> None:
+        """Decode and fold one wire line (raises :class:`WireError`)."""
+        rejects = self.ingest_lines((line,))
+        if rejects:
+            raise WireError(rejects[0][1])
+
     def ingest_observation(self, sender: str, observation: Observation) -> bool:
         """Fold one decoded observation in; returns the verdict."""
         verdict, event = self.store.observe(sender, observation)
@@ -131,20 +209,17 @@ class DetectionService:
             self.verdicts.publish(event)
             if self.spool is not None:
                 self.spool.append(event)
-        with self._counter_lock:
-            self._ingested += 1
-            if self._ingested % _RATE_SAMPLE_EVERY == 0:
-                self._rate_samples.append((time.monotonic(), self._ingested))
+        self._count(1)
         return verdict
 
-    def ingest_line(self, line: str) -> bool:
-        """Decode and ingest one wire line (raises :class:`WireError`)."""
-        sender, observation = decode_record(line)
-        return self.ingest_observation(sender, observation)
-
-    def record_decode_error(self) -> None:
+    def _count(self, folded: int, rejected: int = 0, misroutes: int = 0):
         with self._counter_lock:
-            self.decode_errors += 1
+            before = self._ingested
+            self._ingested = total = before + folded
+            self.decode_errors += rejected
+            self.misroutes += misroutes
+            if total // _RATE_SAMPLE_EVERY != before // _RATE_SAMPLE_EVERY:
+                self._rate_samples.append((time.monotonic(), total))
 
     def record_disconnect(self) -> None:
         """Count a peer that vanished mid-stream (TCP reset)."""
@@ -163,6 +238,7 @@ class DetectionService:
         with self._counter_lock:
             decode_errors = self.decode_errors
             disconnects = self.disconnects
+            misroutes = self.misroutes
             ingested = self._ingested
             oldest_wall, oldest_total = self._rate_samples[0]
         window = max(now - oldest_wall, 1e-9)
@@ -172,6 +248,7 @@ class DetectionService:
             "observations": total,
             "decode_errors": decode_errors,
             "disconnects": disconnects,
+            "misroutes": misroutes,
             "replayed_flags": self.replayed_flags,
             "obs_per_sec": round(total / uptime, 1),
             "recent_obs_per_sec": round(
@@ -188,33 +265,90 @@ class DetectionService:
 
 
 # ----------------------------------------------------------------------
+# Chunked reads (TCP and stdin)
+# ----------------------------------------------------------------------
+def read_chunks(read1) -> Iterator[List[Optional[str]]]:
+    """The complete wire lines of each ``read1(READ_BYTES)`` call, as
+    one list.
+
+    An unterminated line is carried over to the next read, and yielded
+    on its own at EOF.  Lines are split on ``\\n`` only; a line that is
+    not valid UTF-8 comes out as ``None`` (see
+    :meth:`DetectionService.ingest_lines`).
+    """
+    partial: List[bytes] = []
+    while True:
+        data = read1(READ_BYTES)
+        if not data:
+            break
+        cut = data.rfind(b"\n")
+        if cut < 0:
+            partial.append(data)
+            continue
+        block = data[:cut]
+        if partial:
+            partial.append(block)
+            block = b"".join(partial)
+            partial = []
+        if cut + 1 < len(data):
+            partial.append(data[cut + 1:])
+        yield _split_lines(block)
+    if partial:
+        yield _split_lines(b"".join(partial))
+
+
+def _split_lines(block: bytes) -> List[Optional[str]]:
+    try:
+        return block.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return [_utf8_or_none(raw) for raw in block.split(b"\n")]
+
+
+def _utf8_or_none(raw: bytes) -> Optional[str]:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+# ----------------------------------------------------------------------
 # Stream (stdin) ingest
 # ----------------------------------------------------------------------
 def ingest_stream(
     service,
-    lines: Iterable[str],
+    lines,
     errors: Optional[IO[str]] = None,
     max_reported: int = 10,
 ) -> Tuple[int, int]:
     """Pump wire lines into a pool until the stream ends.
 
-    Returns ``(ingested, rejected)``.  Blank lines are keep-alives.
-    The first ``max_reported`` rejects are echoed to ``errors`` (e.g.
-    stderr) with their line number; the rest are only counted.
+    ``lines`` is a binary stream (read chunk by chunk with
+    :func:`read_chunks`, like a TCP connection — ``sys.stdin.buffer``)
+    or an iterable of text lines (ingested :data:`STREAM_CHUNK_LINES`
+    at a time).  Returns ``(ingested, rejected)``.  Blank lines are
+    keep-alives.  The first ``max_reported`` rejects are echoed to
+    ``errors`` (e.g. stderr) with their line number; the rest are only
+    counted.
     """
-    ingested = rejected = 0
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            service.ingest_line(line)
-            ingested += 1
-        except WireError as exc:
-            service.record_decode_error()
+    if hasattr(lines, "read1"):
+        chunks: Iterable[Sequence[Optional[str]]] = read_chunks(lines.read1)
+    else:
+        iterator = iter(lines)
+        chunks = iter(
+            lambda: list(itertools.islice(iterator, STREAM_CHUNK_LINES)), []
+        )
+    ingested = rejected = lineno = 0
+    for chunk in chunks:
+        rejects = service.ingest_lines(chunk)
+        ingested += sum(
+            1 for line in chunk if line is None or line.strip()
+        ) - len(rejects)
+        for index, message in rejects:
             rejected += 1
             if errors is not None and rejected <= max_reported:
-                print(f"ingest: line {lineno} rejected: {exc}", file=errors)
+                print(f"ingest: line {lineno + index + 1} rejected: "
+                      f"{message}", file=errors)
+        lineno += len(chunk)
     if errors is not None and rejected > max_reported:
         print(f"ingest: ... and {rejected - max_reported} more rejected "
               f"line(s)", file=errors)
@@ -225,23 +359,16 @@ def ingest_stream(
 # TCP ingest
 # ----------------------------------------------------------------------
 class _TcpIngestHandler(socketserver.StreamRequestHandler):
+    # Reject lines are small writes a client may be waiting on.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         service = self.server.service  # type: ignore[attr-defined]
         try:
-            for raw in self.rfile:
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError:
-                    service.record_decode_error()
-                    self._reject("line is not valid UTF-8")
-                    continue
-                if not line:
-                    continue
-                try:
-                    service.ingest_line(line)
-                except WireError as exc:
-                    service.record_decode_error()
-                    self._reject(str(exc))
+            for lines in read_chunks(self.rfile.read1):
+                rejects = service.ingest_lines(lines)
+                if rejects:
+                    self._reject(rejects)
         except (ConnectionResetError, BrokenPipeError, TimeoutError):
             # A peer that dies mid-line (crash, network partition,
             # impatient client) must not dump a traceback per
@@ -249,11 +376,13 @@ class _TcpIngestHandler(socketserver.StreamRequestHandler):
             # ingested before the reset is already folded in.
             service.record_disconnect()
 
-    def _reject(self, message: str) -> None:
+    def _reject(self, rejects: List[Tuple[int, str]]) -> None:
+        """One JSON error line per rejected line, in order."""
+        reply = "".join(
+            json.dumps({"error": message}) + "\n" for _, message in rejects
+        )
         try:
-            self.wfile.write(
-                (json.dumps({"error": message}) + "\n").encode("utf-8")
-            )
+            self.wfile.write(reply.encode("utf-8"))
         except OSError:  # peer already gone; the count still happened
             pass
 

@@ -310,9 +310,10 @@ def _run_bench_pool(
     )
     try:
         start = time.perf_counter()
-        pool.ingest_lines(lines)
+        rejects = pool.ingest_lines(lines)
         pool.barrier()
         wall = time.perf_counter() - start
+        assert not rejects, f"bench stream has rejected lines: {rejects[:3]}"
 
         payload = pool.api_verdicts(None, None)
         flagged_senders = {event["sender"] for event in payload["events"]}

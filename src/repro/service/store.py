@@ -48,6 +48,11 @@ _FREE_POOL_CAP = 32
 _WORKER_SUFFIX = b"\x00wrkr"
 
 
+#: Looked up once: :meth:`ShardedDetectorStore.observe` runs per line.
+_crc32 = zlib.crc32
+_monotonic = time.monotonic
+
+
 def shard_of(sender: str, shards: int) -> int:
     """Deterministic shard index for a sender key.
 
@@ -110,7 +115,7 @@ class FlagEvent:
     observations: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SenderEntry:
     """Per-sender state held inside one shard (one tenure)."""
 
@@ -191,54 +196,52 @@ class ShardedDetectorStore:
         observation flagged the sender for the first time in its
         current tenure (``None`` otherwise).
         """
-        shard = self._shards[shard_of(sender, self.shards)]
+        # shard_of(), inlined: this runs once per wire line.
+        shard = self._shards[_crc32(sender.encode("utf-8")) % self.shards]
+        time_us = observation.time_us
         with shard.lock:
             entries = shard.entries
             entry = entries.get(sender)
             if entry is None:
-                if shard.free_pool:
-                    detector = shard.free_pool.pop()
+                free_pool = shard.free_pool
+                if free_pool:
+                    detector = free_pool.pop()
                     detector.reset()
                 else:
                     detector = self.factory()
-                entry = SenderEntry(
-                    detector=detector,
-                    first_obs_wall=time.monotonic(),
-                    first_obs_time_us=observation.time_us,
-                )
+                entry = SenderEntry(detector, _monotonic(), time_us)
                 entries[sender] = entry
                 if len(entries) > self.max_entries:
                     _, evicted = entries.popitem(last=False)
                     shard.evictions += 1
                     if evicted.flagged:
                         shard.flagged_evictions += 1
-                    if len(shard.free_pool) < _FREE_POOL_CAP:
-                        shard.free_pool.append(evicted.detector)
+                    if len(free_pool) < _FREE_POOL_CAP:
+                        free_pool.append(evicted.detector)
             else:
                 entries.move_to_end(sender)
             shard.observations += 1
-            entry.observations += 1
+            entry.observations = count = entry.observations + 1
             verdict = entry.detector.observe(observation)
+            if verdict == entry.flagged:
+                return verdict, None
+            entry.flagged = verdict
+            transitions = entry.transitions
+            transitions.append(
+                (count, "flag" if verdict else "clear", time_us)
+            )
+            if len(transitions) > self.transition_cap:
+                del transitions[0]
             event = None
-            if verdict != entry.flagged:
-                entry.flagged = verdict
-                transitions = entry.transitions
-                transitions.append((
-                    entry.observations,
-                    "flag" if verdict else "clear",
-                    observation.time_us,
-                ))
-                if len(transitions) > self.transition_cap:
-                    del transitions[0]
-                if verdict and entry.first_flag is None:
-                    event = FlagEvent(
-                        sender=sender,
-                        time_us=observation.time_us,
-                        wall=time.monotonic(),
-                        first_obs_wall=entry.first_obs_wall,
-                        observations=entry.observations,
-                    )
-                    entry.first_flag = event
+            if verdict and entry.first_flag is None:
+                event = FlagEvent(
+                    sender=sender,
+                    time_us=time_us,
+                    wall=_monotonic(),
+                    first_obs_wall=entry.first_obs_wall,
+                    observations=count,
+                )
+                entry.first_flag = event
             return verdict, event
 
     # ------------------------------------------------------------------

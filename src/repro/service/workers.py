@@ -12,9 +12,9 @@ optional :class:`~repro.service.spool.FlagSpool`).
 The only thing that varies with ``N`` is how the pool reaches a slot:
 
 * ``N == 1`` — the one slot is held **in-process**: no fork, no pipe.
-  :meth:`IngestWorkerPool.ingest_line` calls the slot's
-  ``DetectionService.ingest_line`` directly (no routing scan), so a
-  line is folded in before the call returns, and ``/watch`` parks in
+  :meth:`IngestWorkerPool.ingest_lines` calls the slot's
+  ``DetectionService.ingest_lines`` directly (no routing scan), so a
+  chunk is folded in before the call returns, and ``/watch`` parks in
   the slot's :meth:`~repro.service.verdicts.VerdictLog.wait_for`.
 * ``N > 1`` — each slot is a worker process behind a duplex pipe.  A
   single interpreter tops out near the one-GIL ceiling; the front-end
@@ -53,13 +53,13 @@ import signal
 import time
 from dataclasses import dataclass
 from threading import Lock
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.params import PAPER_CONFIG, ProtocolConfig
 from repro.detect import DEFAULT_DETECTOR
 from repro.experiments.campaign.journal import JournalError
 from repro.service.codec import WireError, decode_record, sender_of_line
-from repro.service.ingest import DetectionService
+from repro.service.ingest import NOT_UTF8, DetectionService
 from repro.service.spool import FlagSpool, SpoolError, spool_path
 from repro.service.store import (
     DEFAULT_MAX_ENTRIES,
@@ -126,12 +126,22 @@ def _build_service(cfg: WorkerConfig) -> DetectionService:
         transition_cap=cfg.transition_cap,
         verdict_cap=cfg.verdict_cap,
         spool=spool,
+        worker=cfg.index,
+        workers=cfg.workers,
     )
 
 
-def _worker_main(conn, cfg: WorkerConfig) -> None:
+def _worker_main(conn, cfg: WorkerConfig, front_ends) -> None:
     """One ingest worker process: build the service, then serve the
-    pipe until told to stop."""
+    pipe until told to stop.
+
+    ``front_ends`` are the pool's ends of this worker's pipe and of
+    every pipe opened before it, which a forked worker inherits.  They
+    are closed first, so the worker reads EOF (and exits) once the
+    front-end is gone, however it died.
+    """
+    for front_end in front_ends:
+        front_end.close()
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # front-end owns ^C
     try:
         service = _build_service(cfg)
@@ -143,7 +153,6 @@ def _worker_main(conn, cfg: WorkerConfig) -> None:
         return
     conn.send_bytes(pickle.dumps(("ready", cfg.index, service.replayed_flags)))
 
-    misroutes = 0
     try:
         while True:
             try:
@@ -152,26 +161,14 @@ def _worker_main(conn, cfg: WorkerConfig) -> None:
                 break  # front-end died; flush durable state and exit
             tag, body = message[:1], message[1:]
             if tag == _TAG_DATA:
-                for line in body.decode("utf-8").split("\n"):
-                    if not line:
-                        continue
-                    try:
-                        sender, observation = decode_record(line)
-                    except WireError:
-                        service.record_decode_error()
-                        continue
-                    if worker_of(sender, cfg.workers) != cfg.index:
-                        # Defensive: honestly-encoded lines always route
-                        # correctly (the router falls back to a full
-                        # decode when in doubt); ingesting a misrouted
-                        # sender would split its state across workers.
-                        misroutes += 1
-                        continue
-                    service.ingest_observation(sender, observation)
+                # No back-channel here: rejects and misroutes are only
+                # counted (the router already answered for the lines it
+                # could not route).
+                service.ingest_lines(body.decode("utf-8").split("\n"))
             elif tag == _TAG_QUERY:
                 request = pickle.loads(body)
                 try:
-                    reply = _handle_query(service, cfg, misroutes, request)
+                    reply = _handle_query(service, request)
                 except Exception as exc:  # pragma: no cover - defensive
                     reply = ("__error__", f"{type(exc).__name__}: {exc}")
                 conn.send_bytes(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
@@ -182,16 +179,15 @@ def _worker_main(conn, cfg: WorkerConfig) -> None:
         service.close()
 
 
-def _handle_query(service, cfg: WorkerConfig, misroutes: int, request):
+def _handle_query(service, request):
     """Answer one query against a slot's service.  Never blocks: a
     worker process answers queries on its ingest loop."""
     kind = request[0]
     if kind == "ping":
-        return ("pong", cfg.index)
+        return ("pong", service.worker)
     if kind == "stats":
         stats = service.stats()
-        stats["worker"] = cfg.index
-        stats["misroutes"] = misroutes
+        stats["worker"] = service.worker
         return stats
     if kind == "verdicts":
         _, after, limit, with_flagged = request
@@ -234,15 +230,11 @@ class _LocalSlot:
     """Worker 0 of 1, held in-process: every call is a direct call."""
 
     def __init__(self, cfg: WorkerConfig):
-        self.cfg = cfg
         self.service = _build_service(cfg)
         self.replayed_flags = self.service.replayed_flags
 
-    def ingest_line(self, line: str) -> None:
-        self.service.ingest_line(line)
-
     def query(self, request: tuple):
-        return _handle_query(self.service, self.cfg, 0, request)
+        return _handle_query(self.service, request)
 
     def close(self) -> None:
         self.service.close()
@@ -254,12 +246,12 @@ class _PipeSlot:
     __slots__ = ("index", "process", "conn", "lock", "pending",
                  "pending_bytes", "replayed_flags")
 
-    def __init__(self, context, cfg: WorkerConfig):
+    def __init__(self, context, cfg: WorkerConfig, front_ends: list):
         self.index = cfg.index
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_worker_main,
-            args=(child_conn, cfg),
+            args=(child_conn, cfg, [self.conn, *front_ends]),
             name=f"repro-ingest-{cfg.index}",
             daemon=True,
         )
@@ -283,10 +275,12 @@ class _PipeSlot:
             raise error(f"worker {self.index} failed to start: {message}")
         self.replayed_flags = reply[2]
 
-    def ingest_line(self, line: str) -> None:
+    def ingest_batch(self, lines: List[str]) -> None:
+        """Buffer routed lines; ship once the batch is full."""
+        size = sum(map(len, lines)) + len(lines)
         with self.lock:
-            self.pending.append(line)
-            self.pending_bytes += len(line) + 1
+            self.pending.extend(lines)
+            self.pending_bytes += size
             if (len(self.pending) >= BATCH_LINES
                     or self.pending_bytes >= BATCH_BYTES):
                 self._ship_locked()
@@ -349,16 +343,16 @@ class _PipeSlot:
 class IngestWorkerPool:
     """The service front-end over ``N`` worker slots.
 
-    Ingest surface: ``ingest_line`` (raising :class:`WireError` on
-    malformed lines), ``record_decode_error``, ``record_disconnect`` —
-    what the TCP ingest server and the stdin pump drive.  Query
-    surface: ``api_stats`` / ``api_verdicts`` / ``api_watch`` /
-    ``api_sender`` — what the HTTP API drives.
+    Ingest surface: ``ingest_lines`` (returning the rejected lines),
+    ``ingest_line`` (raising :class:`WireError` instead) and
+    ``record_disconnect`` — what the TCP ingest server and the stdin
+    pump drive.  Query surface: ``api_stats`` / ``api_verdicts`` /
+    ``api_watch`` / ``api_sender`` — what the HTTP API drives.
 
-    With one worker a line is folded in before :meth:`ingest_line`
+    With one worker a chunk is folded in before :meth:`ingest_lines`
     returns.  With several, lines buffer per worker and ship in
     batches; queries flush the relevant buffers first, so a query
-    issued after ``ingest_line`` returned always observes that line.
+    issued after ``ingest_lines`` returned always observes its lines.
     :meth:`barrier` flushes everything and round-trips every worker —
     after it returns, all previously ingested lines are folded in.
     """
@@ -410,7 +404,9 @@ class IngestWorkerPool:
             self._handles = []
             try:
                 for cfg in configs:
-                    self._handles.append(_PipeSlot(context, cfg))
+                    self._handles.append(_PipeSlot(
+                        context, cfg, [h.conn for h in self._handles]
+                    ))
                 for handle in self._handles:
                     handle.await_ready()
             except BaseException:
@@ -422,36 +418,57 @@ class IngestWorkerPool:
     # ------------------------------------------------------------------
     # Ingest surface
     # ------------------------------------------------------------------
-    def ingest_line(self, line: str) -> None:
-        """Fold one wire line in (one worker) or route it to its owning
-        worker's batch (several).
+    def ingest_lines(
+        self, lines: Sequence[Optional[str]],
+    ) -> List[Tuple[int, str]]:
+        """Fold a chunk of wire lines in (one worker) or route each to
+        its owning worker's batch (several).
 
-        Raises :class:`WireError` for malformed lines.  The multi-worker
-        router scans the sender out without a JSON parse and only falls
-        back to a strict decode when the scan is undecided, so
-        well-formed traffic never pays for a front-end parse.
+        Returns ``(index, message)`` per rejected line, in order, with
+        the contract of :meth:`DetectionService.ingest_lines`.  The
+        multi-worker router scans each sender out without a JSON parse
+        and only falls back to a strict decode when the scan is
+        undecided, so well-formed traffic never pays for a front-end
+        parse; it can only reject lines it cannot route, and the
+        owning worker counts (without reporting) any other reject.
         """
         if self.workers == 1:
-            self._handles[0].ingest_line(line)
-            return
-        sender = sender_of_line(line)
-        if sender is None:
-            # Undecided: either malformed (raise so the TCP handler
-            # can reject with a reason) or exotically escaped (route
-            # by the decoded sender; the worker re-decodes).
-            sender, _ = decode_record(line)
-        self._handles[worker_of(sender, self.workers)].ingest_line(line)
+            return self._handles[0].service.ingest_lines(lines)
+        rejects: List[Tuple[int, str]] = []
+        routed: List[List[str]] = [[] for _ in self._handles]
+        for index, line in enumerate(lines):
+            if not line:
+                if line is None:
+                    rejects.append((index, NOT_UTF8))
+                continue
+            line = line.strip()
+            if not line:
+                continue
+            sender = sender_of_line(line)
+            if sender is None:
+                # Undecided: either malformed (reject with a reason) or
+                # exotically escaped (route by the decoded sender; the
+                # worker re-decodes).
+                try:
+                    sender, _ = decode_record(line)
+                except WireError as exc:
+                    rejects.append((index, str(exc)))
+                    continue
+            routed[worker_of(sender, self.workers)].append(line)
+        for handle, batch in zip(self._handles, routed):
+            if batch:
+                handle.ingest_batch(batch)
+        if rejects:
+            with self._counter_lock:
+                self._decode_errors += len(rejects)
+        return rejects
 
-    def ingest_lines(self, lines: Sequence[str]) -> int:
-        """Bulk :meth:`ingest_line`; returns lines ingested.  Raises on
-        the first malformed line (the bench path pre-validates)."""
-        for line in lines:
-            self.ingest_line(line)
-        return len(lines)
-
-    def record_decode_error(self) -> None:
-        with self._counter_lock:
-            self._decode_errors += 1
+    def ingest_line(self, line: str) -> None:
+        """:meth:`ingest_lines` for one line; raises :class:`WireError`
+        if it is rejected."""
+        rejects = self.ingest_lines((line,))
+        if rejects:
+            raise WireError(rejects[0][1])
 
     def record_disconnect(self) -> None:
         with self._counter_lock:
@@ -459,7 +476,7 @@ class IngestWorkerPool:
 
     def barrier(self) -> None:
         """Flush, then round-trip every worker: when this returns,
-        every line previously accepted by :meth:`ingest_line` has been
+        every line previously accepted by :meth:`ingest_lines` has been
         folded into its worker's detector state."""
         for handle in self._handles:
             handle.query(("ping",))

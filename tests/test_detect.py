@@ -338,6 +338,40 @@ class TestRegistry:
         a.observe(obs(31, 0))
         assert b.statistic == 0.0
 
+    @pytest.mark.parametrize("spec", [
+        "window", "window:W=4,thresh=12", "cusum:h=2.0,k=0.25",
+        "estimator:min_samples=4",
+    ])
+    def test_factory_parses_spec_once(self, spec, monkeypatch):
+        """A factory resolves its spec once: N constructions cost one
+        ``parse_spec`` call, and every detector it builds judges a
+        stream exactly as ``make_detector`` builds it."""
+        import repro.detect.registry as registry
+
+        calls = []
+        parse = registry.parse_spec
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(registry, "parse_spec", counting_parse)
+        factory = detector_factory(spec, PAPER_CONFIG)
+        built = [factory() for _ in range(50)]
+        assert calls == [spec]
+        monkeypatch.undo()
+
+        rng = random.Random(5)
+        stream = [obs(rng.uniform(0, 40), rng.uniform(0, 40), time_us=i)
+                  for i in range(200)]
+        for detector in built[:3] + built[-1:]:
+            reference = make_detector(spec, PAPER_CONFIG)
+            assert type(detector) is type(reference)
+            verdicts = [detector.observe(o) for o in stream]
+            assert verdicts == [reference.observe(o) for o in stream]
+            assert detector.flagged_observations \
+                == reference.flagged_observations
+
     def test_factory_validates_eagerly(self):
         with pytest.raises(DetectorSpecError):
             detector_factory("nope", PAPER_CONFIG)

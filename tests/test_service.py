@@ -15,6 +15,7 @@ import io
 import json
 import socket
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -390,7 +391,9 @@ class TestDetectionService:
         """Counter updates from many ingest threads must not lose
         increments: ``_ingested``/``decode_errors``/``disconnects``
         are lock-guarded, and an unlocked ``+=`` would silently skew
-        them (this hammer fails reliably without the lock)."""
+        them (this hammer fails reliably without the lock).  Each
+        thread drives both ingest paths: decoded observations, and
+        wire chunks of one good and one rejected line."""
         service = DetectionService(shards=4, max_entries=1_000)
         threads_n, per_thread = 8, 2_000
         start_gate = threading.Barrier(threads_n)
@@ -398,10 +401,16 @@ class TestDetectionService:
         def hammer(worker):
             start_gate.wait()
             for i in range(per_thread):
-                service.ingest_observation(
-                    f"{worker}-{i % 50}", obs(1.0, 1.0, time_us=i)
-                )
-                service.record_decode_error()
+                sender = f"{worker}-{i % 50}"
+                if i % 2:
+                    service.ingest_observation(
+                        sender, obs(1.0, 1.0, time_us=i)
+                    )
+                else:
+                    service.ingest_lines([
+                        encode_record(sender, obs(1.0, 1.0, time_us=i)),
+                    ])
+                assert service.ingest_lines(["{broken"])[0][0] == 0
                 service.record_disconnect()
 
         threads = [
@@ -520,6 +529,123 @@ class TestTcpIngest:
             server.server_close()
 
 
+def _tcp_session(pool, pieces, pause=0.05):
+    """Send ``pieces`` on one TCP ingest connection, pausing between
+    them, close the write side and return the reject lines."""
+    server = TcpIngestServer(pool)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=10) as conn:
+            for piece in pieces:
+                conn.sendall(piece)
+                time.sleep(pause)
+            conn.shutdown(socket.SHUT_WR)
+            # The server closes once it has ingested everything.
+            reply = conn.makefile("rb").read().decode("utf-8")
+    finally:
+        server.shutdown()
+        server.server_close()
+    return [json.loads(line)["error"] for line in reply.splitlines()]
+
+
+class TestTcpChunkedReads:
+    """Framing cases of the chunked TCP reader, each checked for the
+    folds, ``decode_errors`` and ordered reject lines."""
+
+    def _line(self, sender, cheat=True):
+        return encode_record(
+            sender, obs(31.0, 0.0 if cheat else 31.0)
+        ).encode("utf-8")
+
+    def _check(self, pool, observations, decode_errors):
+        stats = pool.api_stats()
+        assert stats["observations"] == observations
+        assert stats["decode_errors"] == decode_errors
+        assert stats["disconnects"] == 0
+
+    def test_line_split_across_two_sends(self, pool1):
+        line = self._line("3")
+        rejects = _tcp_session(pool1, [
+            line[:17], line[17:] + b"\n" + self._line("5", cheat=False)[:9],
+            self._line("5", cheat=False)[9:] + b"\n",
+        ])
+        assert rejects == []
+        self._check(pool1, 2, 0)
+        assert pool1.api_sender("3")["flagged"] is True
+        assert pool1.api_sender("5")["observations"] == 1
+
+    def test_final_line_without_newline_is_ingested(self, pool1):
+        rejects = _tcp_session(pool1, [
+            self._line("3") + b"\n" + self._line("5"),
+        ])
+        assert rejects == []
+        self._check(pool1, 2, 0)
+
+    def test_unterminated_bad_last_line_is_rejected(self, pool1):
+        rejects = _tcp_session(pool1, [self._line("3") + b"\n{broken"])
+        assert len(rejects) == 1 and "not valid JSON" in rejects[0]
+        self._check(pool1, 1, 1)
+
+    def test_crlf_endings(self, pool1):
+        rejects = _tcp_session(pool1, [
+            self._line("3") + b"\r\n" + self._line("5") + b"\r\n{x\r\n",
+        ])
+        assert len(rejects) == 1 and "not valid JSON" in rejects[0]
+        self._check(pool1, 2, 1)
+
+    def test_blank_keep_alives_are_skipped(self, pool1):
+        rejects = _tcp_session(pool1, [
+            b"\n\n", b"   \n" + self._line("3") + b"\n\r\n", b"\n",
+        ])
+        assert rejects == []
+        self._check(pool1, 1, 0)
+
+    def test_invalid_utf8_mid_chunk_rejected_in_order(self, pool1):
+        chunk = b"\n".join([
+            self._line("1"),
+            b"{broken",
+            b'{"sender": "\xff\xfe"}',
+            self._line("2"),
+            json.dumps({"sender": "4", "v": 2}).encode(),
+            self._line("3"),
+        ]) + b"\n"
+        rejects = _tcp_session(pool1, [chunk])
+        assert len(rejects) == 3
+        assert "not valid JSON" in rejects[0]
+        assert rejects[1] == "line is not valid UTF-8"
+        assert "schema version 2" in rejects[2]
+        self._check(pool1, 3, 3)
+
+    def test_lone_surrogate_sender_rejected_not_fatal(self, pool1):
+        """A JSON-escaped lone surrogate in a sender cannot be hashed
+        for placement; it is rejected and the connection goes on."""
+        bad = encode_record("x", obs(31.0, 0.0)).replace(
+            '"sender":"x"', '"sender":"\\udcff"'
+        ).encode("utf-8")
+        rejects = _tcp_session(pool1, [bad + b"\n" + self._line("3")])
+        assert rejects == ["wire field 'sender' is not valid Unicode, "
+                           "got '\\udcff'"]
+        self._check(pool1, 1, 1)
+
+    def test_many_reads_fold_every_line_in_order(self, pool1):
+        """A stream far larger than one read: every line folds, and
+        each sender's observations arrive in stream order."""
+        lines = [
+            encode_record(str(i % 7), obs(31.0, 0.0, time_us=i))
+            for i in range(6_000)
+        ]
+        payload = ("\n".join(lines) + "\n").encode("utf-8")
+        rejects = _tcp_session(pool1, [payload[:100_001], payload[100_001:]])
+        assert rejects == []
+        self._check(pool1, 6_000, 0)
+        for sender in map(str, range(7)):
+            snapshot = pool1.api_sender(sender)
+            assert snapshot["observations"] > 800
+            assert snapshot["transitions"][0]["time_us"] == int(sender)
+
+
 class TestServeCommand:
     def test_sigint_right_after_readiness_exits_cleanly(self, tmp_path):
         """``repro serve`` interrupted the moment it reports readiness
@@ -556,6 +682,31 @@ class TestServeCommand:
                            detector="window") as spool:
                 assert not spool.repaired
                 assert spool.replayed == []
+
+    def test_stdin_bytes_that_are_not_utf8_are_rejected(self):
+        """``--stdin`` reads bytes: a line that is not valid UTF-8 is
+        one counted reject, and the lines around it are ingested.
+        Read as text, the stray byte became a lone surrogate in the
+        sender and the pump died with a traceback."""
+        import os
+        import pathlib
+        import subprocess
+        import sys
+
+        good = encode_record("4", obs(31.0, 0.0)).encode("utf-8")
+        bad = good.replace(b'"sender":"4"', b'"sender":"\xff"')
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--stdin",
+             "--port", "0"],
+            input=bad + b"\n" + good + b"\n", env=env,
+            capture_output=True, timeout=60,
+        )
+        err = proc.stderr.decode("utf-8", "replace")
+        assert proc.returncode == 0, err
+        assert "ingest: line 1 rejected: line is not valid UTF-8" in err
+        assert "stdin drained: 1 ingested, 1 rejected" in err
 
     @pytest.mark.parametrize("workers, history, detector, reason", [
         (1, 3, "window", "3-worker"),
@@ -720,6 +871,31 @@ class TestHttpApi:
                 polls += 1
                 assert polls <= 20, "cursor walk failed to terminate"
             assert walked == list(range(1, 11))  # no loss, no dupes
+
+    def test_keep_alive_answers_do_not_stall(self, api):
+        """Ready answers on one keep-alive connection come back at
+        once.  With Nagle's algorithm on, each body waits for the
+        client's delayed ACK of its headers (~40 ms per request)."""
+        import http.client
+
+        base, pool = api
+        flag(pool, "3")
+        host, port = base[len("http://"):].rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            conn.request("GET", "/verdicts")  # connect and warm up
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(5):
+                conn.request("GET", "/verdicts")
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                assert response.status == 200
+                assert [e["sender"] for e in body["events"]] == ["3"]
+            elapsed = time.perf_counter() - start
+        finally:
+            conn.close()
+        assert elapsed < 0.1, f"5 ready answers took {elapsed * 1e3:.0f} ms"
 
     def test_verdicts_gap_surfaces_over_http(self):
         """Cap overflow between polls: the next poll's payload says

@@ -142,6 +142,46 @@ class TestIngestWorkerPool:
         snapshot = pool3.api_sender("ü")
         assert snapshot is not None and snapshot["flagged"] is True
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_ingest_lines_returns_ordered_rejects(self, workers):
+        """``ingest_lines`` folds every good line and returns
+        ``(index, message)`` per rejected line, in order, instead of
+        raising on the first; blank lines are keep-alives and ``None``
+        stands for a line that is not valid UTF-8."""
+        lines = [
+            cheat_line("a"), "", "{broken", honest_line("b"), None,
+            "  \r", json.dumps({"v": 1, "b_exp": 1}), cheat_line("c"),
+        ]
+        with IngestWorkerPool(workers=workers, shards=2) as pool:
+            rejects = pool.ingest_lines(lines)
+            assert [index for index, _ in rejects] == [2, 4, 6]
+            assert "not valid JSON" in rejects[0][1]
+            assert rejects[1][1] == "line is not valid UTF-8"
+            assert "no 'sender' field" in rejects[2][1]
+            stats = pool.api_stats()
+            assert stats["observations"] == 3
+            assert stats["decode_errors"] == 3
+            assert pool.api_verdicts()["flagged"] == ["a", "c"]
+
+    def test_worker_counts_misrouted_lines_without_folding(self):
+        """The worker-side guard: a line whose sender another worker
+        owns is counted as a misroute and never folded."""
+        from repro.service import DetectionService
+
+        stranger = next(s for s in map(str, range(100))
+                        if worker_of(s, 3) != 0)
+        owned = next(s for s in map(str, range(100)) if worker_of(s, 3) == 0)
+        service = DetectionService(worker=0, workers=3)
+        rejects = service.ingest_lines(
+            [cheat_line(stranger), cheat_line(owned), "{x"]
+        )
+        assert [index for index, _ in rejects] == [2]
+        stats = service.stats()
+        assert stats["misroutes"] == 1
+        assert stats["observations"] == 1
+        assert stats["decode_errors"] == 1
+        assert service.store.get(stranger) is None
+
     def test_sender_query_routes_to_owning_worker(self, pool3):
         for i in range(60):
             pool3.ingest_line(honest_line(str(i)))
@@ -582,3 +622,69 @@ class TestPoolRestartReplay:
                 == ["cheat"]
         finally:
             pool.close()
+
+
+# ----------------------------------------------------------------------
+# Chaos: a front-end killed outright
+# ----------------------------------------------------------------------
+_FRONT_END = """
+import time
+from repro.service import IngestWorkerPool
+pool = IngestWorkerPool(workers=3)
+print(" ".join(str(h.process.pid) for h in pool._handles), flush=True)
+time.sleep(120)
+"""
+
+
+def _running(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper is gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestOrphanedWorkers:
+    def test_workers_exit_when_front_end_is_sigkilled(self):
+        """Every worker closes the front-end pipe ends it inherited, so
+        a SIGKILLed front-end leaves no worker behind: each reads EOF
+        and exits."""
+        import pathlib
+        import subprocess
+        import sys
+
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        front_end = subprocess.Popen(
+            [sys.executable, "-c", _FRONT_END], env=env,
+            stdout=subprocess.PIPE, text=True,
+        )
+        pids = []
+        try:
+            pids = [int(pid) for pid in front_end.stdout.readline().split()]
+            assert len(pids) == 3
+            assert all(_running(pid) for pid in pids)
+            front_end.kill()
+            front_end.wait(10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _running(pid)]
+            assert survivors == [], (
+                f"workers {survivors} outlived their SIGKILLed front-end"
+            )
+        finally:
+            if front_end.poll() is None:
+                front_end.kill()
+                front_end.wait(10)
+            front_end.stdout.close()
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
