@@ -11,8 +11,7 @@ cheater accumulates positive mass.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Iterable
+from typing import Iterable, List
 
 
 class DiagnosisWindow:
@@ -24,14 +23,23 @@ class DiagnosisWindow:
         ``W`` — number of most recent packets considered.
     thresh:
         ``THRESH`` — slot threshold on the windowed sum.
+
+    The detection service keeps one window per resident sender, so the
+    state is a slotted object and a plain list of at most ``W``
+    floats: a ``deque`` allocates a 64-slot block on creation and after
+    every :meth:`reset`, several times the ``W`` samples it holds.
     """
+
+    __slots__ = ("window", "thresh", "_differences", "_sum",
+                 "observations", "flagged_observations")
 
     def __init__(self, window: int, thresh: float):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
         self.thresh = float(thresh)
-        self._differences: Deque[float] = deque(maxlen=window)
+        #: The last ``W`` differences, oldest first.
+        self._differences: List[float] = []
         self._sum = 0.0
         #: Number of packets observed (lifetime, not window-limited).
         self.observations = 0
@@ -45,20 +53,22 @@ class DiagnosisWindow:
         sum exceeds ``THRESH`` (the packet "is classified to be from a
         misbehaving sender", the unit of the paper's accuracy metric).
         """
-        if len(self._differences) == self.window:
+        differences = self._differences
+        if len(differences) == self.window:
             # Recompute instead of subtracting the evicted sample: with
             # mixed magnitudes the incremental subtract leaves float
             # residue (adding 1e12 then removing it does not restore
             # the small-value sum), which would let a huge one-off
             # spike poison every later verdict.  W is tiny, so the
             # from-scratch sum costs nothing.
-            self._differences.append(difference)
+            del differences[0]
+            differences.append(difference)
             total = 0.0
-            for kept in self._differences:
+            for kept in differences:
                 total += kept
             self._sum = total
         else:
-            self._differences.append(difference)
+            differences.append(difference)
             self._sum += difference
         self.observations += 1
         flagged = self.is_misbehaving

@@ -206,7 +206,13 @@ class DetectorBase:
     observation; this base maintains the ``observations`` /
     ``flagged_observations`` lifetime tallies with the same semantics
     as :class:`repro.core.diagnosis.DiagnosisWindow`.
+
+    The detection service holds one detector per resident sender, so
+    the built-in detectors declare ``__slots__`` (a subclass that does
+    not still works; it just carries a ``__dict__``).
     """
+
+    __slots__ = ("observations", "flagged_observations")
 
     def __init__(self) -> None:
         #: Number of observations folded in (lifetime).

@@ -48,6 +48,7 @@ class CusumDetector(DetectorBase):
     """
 
     name = "cusum"
+    __slots__ = ("h", "k", "norm", "statistic")
 
     def __init__(self, h: float = 2.0, k: float = 0.25, norm: float = 31.0):
         super().__init__()

@@ -46,6 +46,8 @@ class CwminEstimatorDetector(DetectorBase):
     """
 
     name = "estimator"
+    __slots__ = ("fraction", "min_samples", "window_size", "cw_min",
+                 "_samples", "_act_sum", "_exp_sum")
 
     def __init__(
         self,

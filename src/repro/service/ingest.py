@@ -28,9 +28,10 @@ adapter).
 
 Malformed lines never kill an ingest source: they are counted
 (``decode_errors`` in ``/stats``), reported to the offender where a
-back-channel exists (TCP), and skipped.  A peer that dies mid-line is
-not an error either: the reset is counted (``disconnects``) and the
-handler closes quietly.
+back-channel exists (TCP), and skipped; a line longer than
+:data:`MAX_LINE_BYTES` is one of them, and is never buffered whole.  A
+peer that dies mid-line is not an error either: the reset is counted
+(``disconnects``) and the handler closes quietly.
 
 Ingest runs on many TCP handler threads at once, so every counter the
 service owns (``_ingested``, ``decode_errors``, ``misroutes``,
@@ -56,6 +57,7 @@ from collections import deque
 from threading import Lock
 from typing import (
     Deque, Dict, IO, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Union,
 )
 
 from repro.core.params import PAPER_CONFIG, ProtocolConfig
@@ -76,10 +78,38 @@ from repro.service.verdicts import DEFAULT_VERDICT_CAP, VerdictLog
 _RATE_SAMPLE_EVERY = 4096
 #: Bytes asked of one ``read1`` call by the chunked readers.
 READ_BYTES = 64 * 1024
+#: Longest wire line the chunked readers accept, newline excluded (a
+#: valid record is under 400 bytes).  The bytes of a longer line are
+#: dropped as they arrive, so a peer that never sends a newline costs
+#: at most this plus one read.  Not below :data:`READ_BYTES`: a line
+#: inside a single read is then never too long.
+MAX_LINE_BYTES = 64 * 1024
 #: Lines per ingest call when pumping an iterable of text lines.
 STREAM_CHUNK_LINES = 1024
-#: The reject message of a line that is not valid UTF-8.
-NOT_UTF8 = "line is not valid UTF-8"
+
+
+class RefusedLine:
+    """A wire line the reader refused before decoding, in its place in
+    a chunk; :meth:`DetectionService.ingest_lines` rejects it with
+    ``message``.  Falsy, like a blank keep-alive line, so the fold's
+    per-line test for well-formed text stays one truth test."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RefusedLine({self.message!r})"
+
+
+NOT_UTF8 = RefusedLine("line is not valid UTF-8")
+TOO_LONG = RefusedLine(f"line is longer than {MAX_LINE_BYTES} bytes")
+#: A chunk of wire lines as the readers hand them to the fold.
+WireLines = Sequence[Union[str, RefusedLine, None]]
 
 
 class DetectionService:
@@ -151,14 +181,13 @@ class DetectionService:
     # ------------------------------------------------------------------
     # Ingest paths
     # ------------------------------------------------------------------
-    def ingest_lines(
-        self, lines: Sequence[Optional[str]],
-    ) -> List[Tuple[int, str]]:
+    def ingest_lines(self, lines: WireLines) -> List[Tuple[int, str]]:
         """Decode and fold a chunk of wire lines, in order.
 
-        Blank lines are keep-alives; ``None`` stands for a line that
-        was not valid UTF-8.  Returns ``(index, message)`` for every
-        rejected line, in order; a rejected line is counted in
+        Blank lines are keep-alives; a :class:`RefusedLine` stands for
+        a line the reader refused (not UTF-8, too long), and ``None``
+        is accepted for :data:`NOT_UTF8`.  Returns ``(index, message)``
+        for every rejected line, in order; a rejected line is counted in
         ``decode_errors`` and skipped, and a line whose sender another
         worker owns is counted in ``misroutes`` and skipped.  Counters
         are updated once per call.
@@ -172,7 +201,9 @@ class DetectionService:
         for index, line in enumerate(lines):
             if not line:
                 if line is None:
-                    rejects.append((index, NOT_UTF8))
+                    line = NOT_UTF8
+                if line.__class__ is RefusedLine:
+                    rejects.append((index, line.message))
                 continue
             line = line.strip()
             if not line:
@@ -267,48 +298,64 @@ class DetectionService:
 # ----------------------------------------------------------------------
 # Chunked reads (TCP and stdin)
 # ----------------------------------------------------------------------
-def read_chunks(read1) -> Iterator[List[Optional[str]]]:
+def read_chunks(read1) -> Iterator[List[Union[str, RefusedLine]]]:
     """The complete wire lines of each ``read1(READ_BYTES)`` call, as
     one list.
 
     An unterminated line is carried over to the next read, and yielded
-    on its own at EOF.  Lines are split on ``\\n`` only; a line that is
-    not valid UTF-8 comes out as ``None`` (see
-    :meth:`DetectionService.ingest_lines`).
+    on its own at EOF.  Lines are split on ``\\n`` only.  A line that
+    is not valid UTF-8 comes out as :data:`NOT_UTF8`, and one longer
+    than :data:`MAX_LINE_BYTES` as :data:`TOO_LONG`: its bytes are
+    dropped as they arrive, so the carried bytes never exceed
+    ``MAX_LINE_BYTES`` plus one read.
     """
     partial: List[bytes] = []
+    # Bytes of the carried line so far, dropped ones included.
+    carried = 0
     while True:
         data = read1(READ_BYTES)
         if not data:
             break
         cut = data.rfind(b"\n")
         if cut < 0:
-            partial.append(data)
+            carried += len(data)
+            if carried > MAX_LINE_BYTES:
+                partial = []
+            else:
+                partial.append(data)
             continue
-        block = data[:cut]
-        if partial:
-            partial.append(block)
-            block = b"".join(partial)
-            partial = []
-        if cut + 1 < len(data):
-            partial.append(data[cut + 1:])
-        yield _split_lines(block)
-    if partial:
+        first = data.find(b"\n") if carried else 0
+        if carried + first > MAX_LINE_BYTES:
+            lines: List[Union[str, RefusedLine]] = [TOO_LONG]
+            if first < cut:
+                lines += _split_lines(data[first + 1:cut])
+        else:
+            block = data[:cut]
+            if partial:
+                partial.append(block)
+                block = b"".join(partial)
+            lines = _split_lines(block)
+        carried = len(data) - cut - 1
+        partial = [data[cut + 1:]] if carried else []
+        yield lines
+    if carried > MAX_LINE_BYTES:
+        yield [TOO_LONG]
+    elif carried:
         yield _split_lines(b"".join(partial))
 
 
-def _split_lines(block: bytes) -> List[Optional[str]]:
+def _split_lines(block: bytes) -> List[Union[str, RefusedLine]]:
     try:
         return block.decode("utf-8").split("\n")
     except UnicodeDecodeError:
-        return [_utf8_or_none(raw) for raw in block.split(b"\n")]
+        return [_utf8_or_refused(raw) for raw in block.split(b"\n")]
 
 
-def _utf8_or_none(raw: bytes) -> Optional[str]:
+def _utf8_or_refused(raw: bytes) -> Union[str, RefusedLine]:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
-        return None
+        return NOT_UTF8
 
 
 # ----------------------------------------------------------------------
@@ -331,7 +378,7 @@ def ingest_stream(
     counted.
     """
     if hasattr(lines, "read1"):
-        chunks: Iterable[Sequence[Optional[str]]] = read_chunks(lines.read1)
+        chunks: Iterable[WireLines] = read_chunks(lines.read1)
     else:
         iterator = iter(lines)
         chunks = iter(
@@ -341,7 +388,7 @@ def ingest_stream(
     for chunk in chunks:
         rejects = service.ingest_lines(chunk)
         ingested += sum(
-            1 for line in chunk if line is None or line.strip()
+            1 for line in chunk if not isinstance(line, str) or line.strip()
         ) - len(rejects)
         for index, message in rejects:
             rejected += 1

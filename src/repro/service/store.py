@@ -17,9 +17,9 @@ judged exactly as a never-seen one.
 
 Verdict bookkeeping happens at the same layer, under the same shard
 lock: each entry tracks its current flag state, a bounded list of
-flag/clear transitions, and its first flag; the store hands a
-:class:`FlagEvent` back to the caller exactly once per tenure so the
-service can publish first-flag notifications.
+flag/clear transitions (allocated at the first one), and its first
+flag; the store hands a :class:`FlagEvent` back to the caller exactly
+once per tenure so the service can publish first-flag notifications.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from threading import Lock
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -125,8 +125,10 @@ class SenderEntry:
     observations: int = 0
     flagged: bool = False
     first_flag: Optional[FlagEvent] = None
-    #: Bounded ``(observation_index, "flag"|"clear", time_us)`` log.
-    transitions: List[Tuple[int, str, int]] = field(default_factory=list)
+    #: Bounded ``(observation_index, "flag"|"clear", time_us)`` log;
+    #: ``None`` until the first verdict change (most senders never
+    #: change, and an empty list per resident sender adds up).
+    transitions: Optional[List[Tuple[int, str, int]]] = None
 
 
 class _Shard:
@@ -227,6 +229,8 @@ class ShardedDetectorStore:
                 return verdict, None
             entry.flagged = verdict
             transitions = entry.transitions
+            if transitions is None:
+                entry.transitions = transitions = []
             transitions.append(
                 (count, "flag" if verdict else "clear", time_us)
             )
@@ -274,7 +278,7 @@ class ShardedDetectorStore:
                 },
                 "transitions": [
                     {"observation": n, "verdict": kind, "time_us": t}
-                    for n, kind, t in entry.transitions
+                    for n, kind, t in entry.transitions or ()
                 ],
             }
 

@@ -53,13 +53,15 @@ import signal
 import time
 from dataclasses import dataclass
 from threading import Lock
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.params import PAPER_CONFIG, ProtocolConfig
 from repro.detect import DEFAULT_DETECTOR
 from repro.experiments.campaign.journal import JournalError
 from repro.service.codec import WireError, decode_record, sender_of_line
-from repro.service.ingest import NOT_UTF8, DetectionService
+from repro.service.ingest import (
+    NOT_UTF8, DetectionService, RefusedLine, WireLines,
+)
 from repro.service.spool import FlagSpool, SpoolError, spool_path
 from repro.service.store import (
     DEFAULT_MAX_ENTRIES,
@@ -418,9 +420,7 @@ class IngestWorkerPool:
     # ------------------------------------------------------------------
     # Ingest surface
     # ------------------------------------------------------------------
-    def ingest_lines(
-        self, lines: Sequence[Optional[str]],
-    ) -> List[Tuple[int, str]]:
+    def ingest_lines(self, lines: WireLines) -> List[Tuple[int, str]]:
         """Fold a chunk of wire lines in (one worker) or route each to
         its owning worker's batch (several).
 
@@ -439,7 +439,9 @@ class IngestWorkerPool:
         for index, line in enumerate(lines):
             if not line:
                 if line is None:
-                    rejects.append((index, NOT_UTF8))
+                    line = NOT_UTF8
+                if line.__class__ is RefusedLine:
+                    rejects.append((index, line.message))
                 continue
             line = line.strip()
             if not line:

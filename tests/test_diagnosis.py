@@ -1,5 +1,7 @@
 """Tests for the W/THRESH diagnosis window."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,3 +165,101 @@ class TestWindowEdgeCases:
         win.reset()
         assert win.observations == 0
         assert win.flagged_observations == 0
+
+
+class _DequeWindow:
+    """The deque-backed window as it stood before the list-backed one:
+    the oracle the list-backed window must match float for float."""
+
+    def __init__(self, window, thresh):
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        self.window = window
+        self.thresh = float(thresh)
+        self._differences = deque(maxlen=window)
+        self._sum = 0.0
+        self.observations = 0
+        self.flagged_observations = 0
+
+    def update(self, difference):
+        if len(self._differences) == self.window:
+            self._differences.append(difference)
+            total = 0.0
+            for kept in self._differences:
+                total += kept
+            self._sum = total
+        else:
+            self._differences.append(difference)
+            self._sum += difference
+        self.observations += 1
+        flagged = self.is_misbehaving
+        if flagged:
+            self.flagged_observations += 1
+        return flagged
+
+    @property
+    def windowed_sum(self):
+        return self._sum
+
+    @property
+    def is_misbehaving(self):
+        return self._sum > self.thresh
+
+    @property
+    def contents(self):
+        return tuple(self._differences)
+
+    def reset(self):
+        self._differences.clear()
+        self._sum = 0.0
+        self.observations = 0
+        self.flagged_observations = 0
+
+
+_differences = st.one_of(
+    st.floats(min_value=-64.0, max_value=64.0),
+    st.floats(min_value=-1e4, max_value=1e4),
+    st.sampled_from([1e12, -1e12, 1e15, 0.1, -0.0, 5e-324]),
+    st.integers(min_value=-1024, max_value=1024).map(float),
+)
+_steps = st.lists(
+    st.one_of(
+        _differences.map(lambda d: ("update", d)),
+        st.just(("reset", None)),
+        st.floats(min_value=-1e6, max_value=1e6).map(
+            lambda t: ("thresh", t)
+        ),
+    ),
+    max_size=120,
+)
+
+
+class TestListWindowMatchesDequeOracle:
+    @given(st.integers(min_value=1, max_value=16),
+           st.floats(min_value=-100.0, max_value=100.0), _steps)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_deque_window(self, w, thresh, steps):
+        """Verdicts, contents and counters identical, and the windowed
+        sum the same float bit for bit, through spikes, resets and
+        threshold changes."""
+        win = DiagnosisWindow(window=w, thresh=thresh)
+        oracle = _DequeWindow(w, thresh)
+        for op, arg in steps:
+            if op == "update":
+                assert win.update(arg) is oracle.update(arg)
+            elif op == "reset":
+                win.reset()
+                oracle.reset()
+            else:
+                win.thresh = oracle.thresh = float(arg)
+            assert win.windowed_sum.hex() == oracle.windowed_sum.hex()
+            assert win.is_misbehaving is oracle.is_misbehaving
+            assert win.contents == oracle.contents
+            assert win.observations == oracle.observations
+            assert win.flagged_observations == oracle.flagged_observations
+
+    def test_state_is_slotted(self):
+        win = DiagnosisWindow(window=5, thresh=20)
+        assert not hasattr(win, "__dict__")
+        with pytest.raises(AttributeError):
+            win.extra = 1

@@ -11,11 +11,13 @@ observation stream.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import socket
 import threading
 import time
+import tracemalloc
 import urllib.request
 
 import pytest
@@ -46,6 +48,7 @@ from repro.service import (
     sender_of_line,
     shard_of,
 )
+from repro.service.ingest import MAX_LINE_BYTES, READ_BYTES, read_chunks
 from repro.service.store import FlagEvent
 
 
@@ -644,6 +647,170 @@ class TestTcpChunkedReads:
             snapshot = pool1.api_sender(sender)
             assert snapshot["observations"] > 800
             assert snapshot["transitions"][0]["time_us"] == int(sender)
+
+
+def _read1_over(data):
+    """A ``read1`` that hands out ``data`` at most ``size`` bytes per
+    call, then EOF."""
+    view = memoryview(data)
+    offset = 0
+
+    def read1(size):
+        nonlocal offset
+        piece = bytes(view[offset:offset + size])
+        offset += len(piece)
+        return piece
+
+    return read1
+
+
+class TestLineCap:
+    """A line longer than ``MAX_LINE_BYTES`` is one reject, and the
+    reader never holds more than the cap plus one read of it."""
+
+    def _line(self, sender):
+        return encode_record(sender, obs(31.0, 0.0)).encode("utf-8")
+
+    def test_unterminated_flood_is_capped(self, pool1):
+        flood_reads = 64 * 1024 * 1024 // READ_BYTES
+        reads = 0
+
+        def read1(size):
+            # 64 MiB with no newline, made a read at a time, then the
+            # newline that ends it and one good line.
+            nonlocal reads
+            reads += 1
+            if reads <= flood_reads:
+                return b"x" * size
+            if reads == flood_reads + 1:
+                return b"\n" + self._line("3") + b"\n"
+            return b""
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rejects = [
+                reject for lines in read_chunks(read1)
+                for reject in pool1.ingest_lines(lines)
+            ]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert reads > flood_reads + 1
+        assert peak < MAX_LINE_BYTES + 2 * READ_BYTES
+        assert rejects == [(0, f"line is longer than {MAX_LINE_BYTES} bytes")]
+        stats = pool1.api_stats()
+        assert stats["observations"] == 1
+        assert stats["decode_errors"] == 1
+        assert pool1.api_sender("3")["flagged"] is True
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("size", [7_000, READ_BYTES])
+    def test_cap_is_exact(self, pool1, extra, size):
+        """A record padded to exactly the cap folds; one byte more is
+        refused.  Either way the lines around it fold."""
+        record = self._line("5")
+        padded = record + b" " * (MAX_LINE_BYTES - len(record) + extra)
+        stream = b"\n".join([self._line("3"), padded, self._line("7")])
+        rejects = [
+            reject for lines in read_chunks(_read1_over(stream))
+            for reject in pool1.ingest_lines(lines)
+        ]
+        assert len(rejects) == extra
+        stats = pool1.api_stats()
+        assert stats["observations"] == 3 - extra
+        assert stats["decode_errors"] == extra
+        assert (pool1.api_sender("5") is None) == bool(extra)
+
+    @pytest.mark.parametrize("tail", [b"", b"\n"])
+    def test_overlong_line_rejected_over_tcp(self, pool1, tail):
+        """Over TCP the overlong line gets its reject line, in order,
+        terminated or cut off by EOF."""
+        rejects = _tcp_session(pool1, [
+            b"{broken\n" + b"y" * (MAX_LINE_BYTES // 2),
+            b"y" * MAX_LINE_BYTES + b"\n" + self._line("3") + b"\n"
+            + b"z" * (MAX_LINE_BYTES + 1),
+            tail,
+        ])
+        assert rejects == [
+            rejects[0], f"line is longer than {MAX_LINE_BYTES} bytes",
+            f"line is longer than {MAX_LINE_BYTES} bytes",
+        ]
+        assert "not valid JSON" in rejects[0]
+        stats = pool1.api_stats()
+        assert stats["observations"] == 1
+        assert stats["decode_errors"] == 3
+
+
+class TestStoreMemory:
+    """Per-sender state fits its budget: a full store after churn,
+    default detector."""
+
+    SHARDS = 8
+    ENTRIES = 2_000
+
+    def test_bytes_per_resident_sender(self):
+        """Two budgets' worth of senders, each folding a full window
+        (the default W is 5); one in 500 flags."""
+        budget = self.SHARDS * self.ENTRIES
+        honest, cheat = obs(10.0, 12.0), obs(31.0, 0.0)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            service = DetectionService(shards=self.SHARDS,
+                                       max_entries=self.ENTRIES)
+            gc.collect()
+            base = tracemalloc.get_traced_memory()[0]
+            for i in range(2 * budget):
+                sender = f"sender-{i}"
+                observation = cheat if i % 500 == 0 else honest
+                for _ in range(5):
+                    service.ingest_observation(sender, observation)
+            gc.collect()
+            used = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        resident = len(service.store)
+        assert resident == budget
+        assert service.store.stats()["evictions"] == budget
+        assert used / resident <= 800
+
+    def test_senders_without_verdict_change_hold_no_transition_list(self):
+        service = DetectionService(shards=2, max_entries=64)
+        for i in range(40):
+            service.ingest_observation(
+                f"s{i}", obs(31.0, 0.0) if i % 10 == 0 else obs(5.0, 5.0)
+            )
+        entries = {
+            sender: entry
+            for shard in service.store._shards
+            for sender, entry in shard.entries.items()
+        }
+        assert len(entries) == 40
+        for sender, entry in entries.items():
+            changed = int(sender[1:]) % 10 == 0
+            assert (entry.transitions is not None) is changed
+
+    def test_sender_payload_unchanged(self, pool1):
+        pool1.ingest_line(encode_record("3", obs(31.0, 0.0, time_us=7)))
+        pool1.ingest_line(encode_record("5", obs(5.0, 5.0, time_us=9)))
+        cheat = pool1.api_sender("3")
+        latency = cheat["first_flag"].pop("latency_s")
+        assert isinstance(latency, float) and latency >= 0.0
+        assert cheat == {
+            "sender": "3", "shard": 0, "flagged": True, "observations": 1,
+            "flagged_observations": 1, "first_obs_time_us": 7,
+            "first_flag": {"time_us": 7, "observations": 1},
+            "transitions": [
+                {"observation": 1, "verdict": "flag", "time_us": 7},
+            ],
+            "worker": 0,
+        }
+        assert pool1.api_sender("5") == {
+            "sender": "5", "shard": 0, "flagged": False, "observations": 1,
+            "flagged_observations": 0, "first_obs_time_us": 9,
+            "first_flag": None, "transitions": [], "worker": 0,
+        }
 
 
 class TestServeCommand:
